@@ -23,6 +23,7 @@
 #include "nn/losses.hpp"
 #include "nn/optimizer.hpp"
 #include "runtime/thread_pool.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 // ---------------------------------------------------------------------
@@ -334,6 +335,30 @@ TEST(ArenaNet, LayoutModesTrainByteIdenticalModels) {
   set_conv_layout_mode(ConvLayoutMode::kChannelMajor);
   EXPECT_FALSE(compat.empty());
   EXPECT_EQ(compat, cm) << "layout modes trained diverging models";
+}
+
+TEST(ArenaNet, GoldenDigestImageProfileTraining) {
+  // Absolute anchor for the conv trunk: the FNV-1a digest of the model
+  // saved after a shape-varying image-profile training sequence, recorded
+  // once. Changing it requires a CHANGES.md justification.
+  const NetConfig config = tiny_image_config();
+  const int image_size = 15;
+  const std::vector<int> ns = {3, 7, 2, 6, 1, 5};
+  AttackNet net(config);
+  Adam adam(net.params());
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    QueryInput input = make_input(config, ns[i], image_size, 500 + i);
+    const int target = static_cast<int>(i) % ns[i];
+    LossResult loss = softmax_regression_loss(net.forward(input), target);
+    net.backward(loss.grad);
+    adam.step(nullptr);
+  }
+  std::stringstream bytes;
+  net.save(bytes);
+  const std::string model = bytes.str();
+  const std::uint64_t digest =
+      util::ContentHash().add_bytes(model.data(), model.size()).digest();
+  EXPECT_EQ(digest, 0x24d7834664d707c7ull) << "got 0x" << std::hex << digest;
 }
 
 TEST(ArenaNet, PinnedReplicaShapeVaryingMatchesMaster) {

@@ -16,6 +16,7 @@
 #include "nn/attack_net.hpp"
 #include "nn/optimizer.hpp"
 #include "runtime/parallel.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace sma::nn {
@@ -287,6 +288,43 @@ TEST(FusedTraining, ModelBytesMatchThreePassAcrossLanesAndThreads) {
     EXPECT_EQ(unfused,
               train_model_bytes(prepared, lanes, /*fused=*/true, &pool))
         << "fused != three-pass at lanes " << lanes << " (4 threads)";
+  }
+}
+
+std::uint64_t digest_of(const std::string& bytes) {
+  return util::ContentHash().add_bytes(bytes.data(), bytes.size()).digest();
+}
+
+// Absolute anchor: FNV-1a digests of the tiny vector-only model after
+// fused training at lanes {1, 2, 8}, recorded once. Relative checks
+// (serial == pooled) cannot catch a change that shifts every execution
+// mode the same way; these can. The kernels promise identical bytes on
+// the portable, AVX2 and AVX-512 paths, so the digests hold on every
+// host. Changing one requires a CHANGES.md justification.
+TEST(GoldenDigest, TinyVectorTrainingModelBytes) {
+  struct Golden {
+    int lanes;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {1, 0xbbc35ce88eb4dae8ull},
+      // The corpus holds two queries per epoch, so lanes 8 trains as one
+      // partial batch of two: the same model as lanes 2.
+      {2, 0x3b5fda688486a852ull},
+      {8, 0x3b5fda688486a852ull},
+  };
+  eval::PreparedSplit prepared = tiny_prepared();
+  for (const Golden& golden : goldens) {
+    const std::string serial =
+        train_model_bytes(prepared, golden.lanes, /*fused=*/true, nullptr);
+    EXPECT_EQ(digest_of(serial), golden.digest)
+        << "lanes " << golden.lanes << ": got 0x"
+        << std::hex << digest_of(serial);
+    // Single pinned replica (serial) == multi-lane replicas (pooled).
+    runtime::ThreadPool pool(4);
+    EXPECT_EQ(serial,
+              train_model_bytes(prepared, golden.lanes, /*fused=*/true, &pool))
+        << "serial != 4-thread at lanes " << golden.lanes;
   }
 }
 
