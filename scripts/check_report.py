@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Validate observability artifacts: Chrome traces and sma run reports.
+"""Validate observability artifacts: Chrome traces, sma run reports and
+bench results.
 
-Three checks, combinable in one invocation (CI runs all of them):
+Four checks, combinable in one invocation (CI runs all of them):
 
   --trace FILE      FILE is Chrome trace-event JSON: a `traceEvents` list
                     of complete ("X") events with the keys Perfetto /
@@ -83,8 +84,7 @@ DURABILITY_KEYS = (
     "checkpoint_resumes",
     "checkpoint_corrupt_discards",
 )
-KERNEL_KEYS = ("backend", "isa", "blocked_calls", "reference_calls",
-               "reorder_bytes", "pack_bytes")
+KERNEL_KEYS = ("isa", "blocked_calls", "pack_bytes")
 METRICS_KEYS = ("counters", "gauges", "histograms")
 HISTOGRAM_KEYS = ("count", "sum", "buckets")
 
@@ -189,6 +189,74 @@ def check_bench(path):
     print(f"{path}: ok (embedded {SCHEMA})")
 
 
+BENCH_TRAIN_KEYS = ("fused_steady_allocs", "fused_arena_bytes",
+                    "fused_steady_allocs_per_query")
+BENCH_FLOW_KEYS = ("designs", "summary", "deterministic", "wave_size")
+BENCH_FLOW_RUN_KEYS = ("threads", "seconds", "global_place_seconds",
+                       "route_seconds", "negotiation_seconds")
+BENCH_SERVE_KEYS = ("widths", "knee_width", "monotonic_to_knee",
+                    "identity_ok", "alloc_free", "num_queries")
+BENCH_SERVE_ROW_KEYS = ("width", "queries_per_sec", "attack_seconds",
+                        "steady_arena_allocs", "identical", "serve_p50_us",
+                        "serve_p99_us")
+
+
+def gate_train(path, train):
+    require_keys(path, train, BENCH_TRAIN_KEYS, "train bench")
+    if train["fused_steady_allocs"] != 0:
+        fail(path, "nonzero steady-state arena allocs")
+
+
+def gate_flow(path, flow):
+    require_keys(path, flow, BENCH_FLOW_KEYS, "flow bench")
+    if flow["deterministic"] is not True:
+        fail(path, "layouts differ across thread counts")
+    if flow["summary"]["measured_counts"] < 2:
+        # deterministic=true is vacuous unless a pooled run was actually
+        # compared against the serial one; CI runners have 2+ cores, so a
+        # collapsed sweep means a broken gate.
+        fail(path, "only one thread count measured — the cross-thread "
+                   "determinism gate did not run")
+    if not flow["designs"]:
+        fail(path, "no designs measured")
+    for design in flow["designs"]:
+        require_keys(path, design, ("legacy", "wave", "delta_vs_legacy"),
+                     "flow design")
+        if design["wave"]["identical_across_threads"] is not True:
+            fail(path, "non-identical wave layouts")
+        for run in design["wave"]["runs"]:
+            require_keys(path, run, BENCH_FLOW_RUN_KEYS, "flow run")
+        require_keys(path, design["delta_vs_legacy"],
+                     ("wirelength_pct", "vias_pct", "overflow"), "flow delta")
+
+
+def gate_serve(path, serve):
+    require_keys(path, serve, BENCH_SERVE_KEYS, "serve bench")
+    if not serve["widths"]:
+        fail(path, "no batch widths measured")
+    for row in serve["widths"]:
+        require_keys(path, row, BENCH_SERVE_ROW_KEYS, "serve width row")
+    if serve["identity_ok"] is not True:
+        fail(path, "batched scores differ from batch-1")
+    if serve["alloc_free"] is not True:
+        fail(path, "nonzero steady-state arena allocs")
+    if serve["report"].get("serve") is None:
+        fail(path, "report lost its serve section")
+
+
+BENCH_GATES = {"train": gate_train, "flow": gate_flow, "serve": gate_serve}
+
+
+def check_bench_gates(path):
+    bench = load_json(path)
+    if not isinstance(bench, dict):
+        fail(path, "bench artifact root must be a JSON object")
+    gate = BENCH_GATES.get(bench.get("bench"))
+    if gate is not None:
+        gate(path, bench)
+    print(f"{path}: ok (bench gates)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trace", help="Chrome trace-event JSON to validate")
@@ -196,17 +264,23 @@ def main():
     parser.add_argument("--bench", nargs="*", default=[],
                         help="BENCH_*.json artifacts whose embedded report "
                              "must validate")
+    parser.add_argument("--bench-gates", nargs="*", default=[],
+                        help="BENCH_*.json artifacts that must parse and "
+                             "pass their bench's gates")
     parser.add_argument("--allow-empty", action="store_true",
                         help="accept a trace with zero events")
     args = parser.parse_args()
-    if not args.trace and not args.report and not args.bench:
-        parser.error("nothing to check: pass --trace, --report or --bench")
+    if not (args.trace or args.report or args.bench or args.bench_gates):
+        parser.error("nothing to check: pass --trace, --report, --bench or "
+                     "--bench-gates")
     if args.trace:
         check_trace(args.trace, args.allow_empty)
     if args.report:
         check_report(args.report)
     for path in args.bench:
         check_bench(path)
+    for path in args.bench_gates:
+        check_bench_gates(path)
 
 
 if __name__ == "__main__":

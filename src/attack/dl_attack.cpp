@@ -8,7 +8,6 @@
 #include "attack/checkpoint.hpp"
 #include "nn/train_step.hpp"
 #include "obs/obs.hpp"
-#include "runtime/parallel.hpp"
 #include "util/durable_io.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -222,37 +221,28 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
   // with the cross-query sum), so only identical lane bookkeeping keeps
   // serial and parallel models bit-identical. The lane count is fixed by
   // the config — never by the pool — so the reduction order below is
-  // thread-count-invariant.
-  //
-  // Fused mode pins *shared-weight* lanes: each lane reads the master's
-  // weight tensors (one weight copy total — Adam updates are visible to
-  // every lane with no broadcast) and owns only its gradients and
-  // activation caches. Unfused mode keeps the reference three-pass path
-  // on full clones; both produce byte-identical models.
+  // thread-count-invariant. Each lane is a shared-weight replica
+  // (clone_shared): Adam updates land in the one weight copy every lane
+  // reads, so nothing is ever copied back to the lanes.
   const bool use_lanes = lanes > 1;
-  const bool fused = config.fused_step;
-  // Without a pool the lanes of a batch run in sequence anyway, so the
-  // fused engine pins ONE shared-weight replica to serve every lane:
-  // after each query its (still cache-hot) gradients accumulate onto the
-  // master in query order — the same ascending-order adds the multi-lane
-  // reduce performs, so the model stays byte-identical while the per-step
-  // working set shrinks from `lanes` replicas' gradients, im2col buffers
-  // and masks to one replica's worth.
-  const bool serial_lanes = use_lanes && fused && pool == nullptr;
+  // Without a pool the lanes of a batch run in sequence anyway, so ONE
+  // shared-weight replica serves every lane: after each query its (still
+  // cache-hot) gradients accumulate onto the master in query order — the
+  // same ascending-order adds the multi-lane reduce performs, so the
+  // model stays byte-identical while the per-step working set shrinks
+  // from `lanes` replicas' gradients, im2col buffers and masks to one
+  // replica's worth.
+  const bool serial_lanes = use_lanes && pool == nullptr;
   std::vector<nn::AttackNet> lane_nets;
   std::vector<std::vector<nn::Param>> lane_params;
-  std::vector<nn::Param> master_params;
   if (use_lanes) {
     const int replicas = serial_lanes ? 1 : lanes;
     lane_nets.reserve(replicas);
     for (int l = 0; l < replicas; ++l) {
-      lane_nets.push_back(fused ? net_.clone_shared() : net_.clone());
+      lane_nets.push_back(net_.clone_shared());
     }
     for (nn::AttackNet& lane : lane_nets) lane_params.push_back(lane.params());
-    master_params = net_.params();
-    if (fused && !serial_lanes) {
-      engine.attach_lanes(lane_params, /*broadcast=*/false);
-    }
+    if (!serial_lanes) engine.attach_lanes(lane_params);
     // Concurrent lanes read the datasets' image caches; freeze them now.
     if (pool != nullptr) {
       for (QueryDataset& dataset : training) dataset.prebuild_images(pool);
@@ -412,40 +402,9 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
         }
         group.wait();
 
-        if (fused) {
-          // One fused reduce+Adam pass; no broadcast — lanes read the
-          // master's weight tensors directly.
-          engine.step(active, pool);
-        } else {
-          // Reference three-pass path (the PR-2 baseline bench_train
-          // measures against). Reduce: per parameter, add lane gradients
-          // in lane order — the order (hence the float sum) is
-          // independent of scheduling.
-          runtime::parallel_for(
-              pool, 0, master_params.size(), /*grain=*/4, [&](std::size_t k) {
-                float* master = master_params[k].grad->data();
-                const std::size_t size = master_params[k].grad->size();
-                for (int l = 0; l < active; ++l) {
-                  float* lane = lane_params[l][k].grad->data();
-                  for (std::size_t j = 0; j < size; ++j) {
-                    master[j] += lane[j];
-                    lane[j] = 0.0f;
-                  }
-                }
-              });
-          engine.optimizer().step(pool);
-
-          // Broadcast the updated weights back to every lane.
-          runtime::parallel_for(
-              pool, 0, static_cast<std::size_t>(lanes) * master_params.size(),
-              /*grain=*/8, [&](std::size_t t) {
-                const std::size_t l = t / master_params.size();
-                const std::size_t k = t % master_params.size();
-                std::memcpy(lane_params[l][k].value->data(),
-                            master_params[k].value->data(),
-                            master_params[k].value->size() * sizeof(float));
-              });
-        }
+        // One fused reduce+Adam pass; lanes read the master's weight
+        // tensors directly.
+        engine.step(active, pool);
 
         for (int l = 0; l < active; ++l) epoch_loss += lane_loss[l];
         stats.queries_seen += active;

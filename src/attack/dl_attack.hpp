@@ -12,9 +12,9 @@
 // the Adam step in lane order. Lanes are scheduled on the pool but the
 // lane structure (and therefore every floating-point sum) depends only on
 // `batch_size`, so any thread count, including none, produces bit-identical
-// models. By default (TrainConfig::fused_step) lanes share the master's
-// weight tensors and each step runs the fused TrainStep engine — one
-// reduce+Adam pass, no broadcast. Inference partitions queries over
+// models. Lanes share the master's weight tensors and each step runs the
+// fused TrainStep engine (nn/train_step.hpp) — one reduce+Adam pass, with
+// no weight copy back to the lanes. Inference partitions queries over
 // pinned shared-weight replicas (ReplicaSet); each query's scores land in
 // its own slot, so parallel CCRs equal serial ones.
 #pragma once
@@ -51,14 +51,6 @@ struct TrainConfig {
   std::uint64_t seed = 99;
   /// Report validation CCR every k epochs (0 = never).
   int validate_every = 0;
-  /// Use the fused training-step engine (nn/train_step.hpp): gradient
-  /// lanes share the master's weight tensors, and each optimizer step is
-  /// one fused reduce+Adam pass over the parameters instead of three
-  /// passes (reduce, Adam, weight broadcast). Purely a performance
-  /// toggle — fused and unfused training produce byte-identical models
-  /// (tests/test_train_step.cpp and bench_train assert this); `false`
-  /// selects the reference three-pass path for before/after measurement.
-  bool fused_step = true;
   /// Save a resumable checkpoint to `checkpoint_path` every k completed
   /// epochs (0 = never). A later `train` call with the same configuration
   /// and datasets picks the checkpoint up and continues — producing a
@@ -122,7 +114,7 @@ class DlAttack {
   /// in fixed slot order, so which replica serves a chunk never matters).
   /// Purely a performance knob: scores — and therefore selections and
   /// CCR — are byte-identical to batch_width == 1 at every width, thread
-  /// count, and kernel backend (tests/test_serve.cpp, bench_serve).
+  /// count (tests/test_serve.cpp, bench_serve).
   AttackResult attack(QueryDataset& dataset,
                       runtime::ThreadPool* pool = nullptr,
                       int batch_width = 1);

@@ -123,8 +123,8 @@ class Tensor {
 
 /// Copy `src` into `dst` with `dst` holding the same logical values under
 /// `layout`. `dst` is resize_reuse'd to src's shape (grow-only, so a
-/// preallocated dst makes this allocation-free — benches use it to time
-/// the bare permutation). Same-layout copies degrade to one memcpy.
+/// preallocated dst makes this allocation-free). Same-layout copies
+/// degrade to one memcpy.
 void copy_to_layout(const Tensor& src, Layout layout, Tensor& dst);
 
 /// Value-returning conversion helpers built on copy_to_layout. A no-op

@@ -1,33 +1,25 @@
 // Fused training-step engine.
 //
-// PR 2 made the kernels fast enough that the fast-profile epoch is
-// dominated by the *unfused tail* of every optimizer step: three separate
-// passes over all parameters (lane-gradient reduce, Adam update, weight
-// broadcast), each streaming megabytes of parameter state through the
-// cache again. `TrainStep` fuses the three into ONE `parallel_for` pass:
-// for each parameter it (1) adds the active lanes' gradients onto the
-// master gradient in ascending lane order, zeroing each lane gradient,
-// (2) applies the Adam update via `Adam::update_param`, and (3) — only
-// for lanes that own private weight storage — copies the fresh weights
-// back to every lane. Each parameter's state is touched exactly once per
-// step while it is hot in cache.
+// Batched training reduces the gradients of several lanes into the
+// master parameters and then takes one Adam step. `TrainStep` does both
+// in ONE `parallel_for` pass: for each parameter it (1) adds the active
+// lanes' gradients onto the master gradient in ascending lane order,
+// zeroing each lane gradient, and (2) applies the Adam update via
+// `Adam::update_param` — so each parameter's state is touched exactly
+// once per step while it is hot in cache.
+//
+// Lanes share the master's weight tensors (AttackNet::clone_shared): the
+// Adam update lands directly in the storage every lane reads, so no
+// weight copy ever flows back to the lanes, and the per-lane working set
+// is gradients and activations only.
 //
 // Determinism: parameters are independent, and within one parameter the
-// fused pass performs the identical float operations in the identical
-// order (fixed lane order, ascending j, the unmodified Adam arithmetic)
-// as the unfused reduce / `Adam::step` / broadcast sequence. Fused and
-// unfused training therefore produce byte-identical models at any lane
-// count and any thread count — the PR-1 determinism contract, which
-// tests/test_train_step.cpp asserts. The activation Layout refactor does
-// not touch this engine: gradients arrive here as parameter tensors
-// (always row-major), so the conv trunk's channel-major activations
-// change where forward/backward *move* data, never what this reduce /
-// Adam / broadcast pass sums or in what order.
-//
-// Lanes that *share* the master's weight tensors (AttackNet::
-// clone_shared) attach with `broadcast = false`: the Adam update lands
-// directly in the storage every lane reads, so the broadcast disappears
-// entirely and the per-lane working set shrinks by one full weight copy.
+// pass performs a fixed sequence of float operations (fixed lane order,
+// ascending j, the unmodified Adam arithmetic), so the trained model is
+// byte-identical at any thread count — the determinism contract that
+// tests/test_train_step.cpp anchors with golden digests. Gradients
+// arrive here as parameter tensors (always row-major), so the conv
+// trunk's channel-major activations never reach this engine.
 #pragma once
 
 #include <cstddef>
@@ -45,15 +37,13 @@ class TrainStep {
   /// gradients; `config` the Adam schedule.
   TrainStep(std::vector<Param> master, const AdamConfig& config);
 
-  /// Attach per-lane parameter views; `lanes[l]` must be index-aligned
-  /// with the master params. `broadcast` selects whether `step` copies
-  /// updated master weights into each lane's value tensors — required
-  /// when lanes own private weight storage, pointless (and skipped) when
-  /// lanes share the master's weight tensors.
-  void attach_lanes(std::vector<std::vector<Param>> lanes, bool broadcast);
+  /// Attach per-lane parameter views of shared-weight replicas; `lanes[l]`
+  /// must be index-aligned with the master params. Only the lanes'
+  /// gradients are read (and zeroed) by `step`.
+  void attach_lanes(std::vector<std::vector<Param>> lanes);
 
-  /// One fused reduce + Adam + broadcast pass over all parameters, using
-  /// the gradients of the first `active_lanes` lanes (a trailing partial
+  /// One fused reduce + Adam pass over all parameters, using the
+  /// gradients of the first `active_lanes` lanes (a trailing partial
   /// batch activates fewer lanes than are attached). With no lanes
   /// attached this degrades to a plain `Adam::step`. A negative
   /// `active_lanes` is a caller bug and throws std::invalid_argument.
@@ -81,7 +71,6 @@ class TrainStep {
   std::vector<Param> master_;
   Adam adam_;
   std::vector<std::vector<Param>> lanes_;
-  bool broadcast_ = false;
 };
 
 }  // namespace sma::nn

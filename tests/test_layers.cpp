@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <stdexcept>
+
+#include "oracle/oracle.hpp"
 
 namespace sma::nn {
 namespace {
@@ -50,25 +54,27 @@ void check_input_gradient(Layer& layer, Tensor x, double tolerance = 2e-2) {
   }
 }
 
-TEST(Gemm, NnMatchesManual) {
-  // A = [[1,2],[3,4]], B = [[5,6],[7,8]]
+TEST(Gemm, OvrNnMatchesManual) {
+  // A = [[1,2],[3,4]], B = [[5,6],[7,8]]; the overwrite form ignores C.
   float a[] = {1, 2, 3, 4};
   float b[] = {5, 6, 7, 8};
-  float c[4] = {0, 0, 0, 0};
-  gemm_nn(2, 2, 2, a, b, c);
+  float c[4] = {9, 9, 9, 9};
+  GemmScratch ws;
+  gemm_ovr_nn(2, 2, 2, a, b, c, ws);
   EXPECT_FLOAT_EQ(c[0], 19);
   EXPECT_FLOAT_EQ(c[1], 22);
   EXPECT_FLOAT_EQ(c[2], 43);
   EXPECT_FLOAT_EQ(c[3], 50);
 }
 
-TEST(Gemm, TnMatchesNnWithTranspose) {
+TEST(Gemm, AccTnAccumulatesTransposedA) {
   // A^T stored [K=2, M=3]: effective A [3,2].
   float at[] = {1, 2, 3, 4, 5, 6};  // A = [[1,4],[2,5],[3,6]]
   float b[] = {1, 0, 0, 1};         // identity
-  float c[6] = {};
-  gemm_tn(3, 2, 2, at, b, c);
-  EXPECT_FLOAT_EQ(c[0], 1);
+  float c[6] = {10, 0, 0, 0, 0, 0};
+  GemmScratch ws;
+  gemm_acc_tn(3, 2, 2, at, b, c, ws);
+  EXPECT_FLOAT_EQ(c[0], 11);  // += onto the prior contents
   EXPECT_FLOAT_EQ(c[1], 4);
   EXPECT_FLOAT_EQ(c[2], 2);
   EXPECT_FLOAT_EQ(c[3], 5);
@@ -76,16 +82,22 @@ TEST(Gemm, TnMatchesNnWithTranspose) {
   EXPECT_FLOAT_EQ(c[5], 6);
 }
 
-TEST(Gemm, NtMatchesManual) {
-  // B^T stored [N=2, K=2]; B = [[5,7],[6,8]].
+TEST(Gemm, ForwardNtMatchesManual) {
+  // B^T stored [N=2, K=2]; B = [[5,7],[6,8]]; bias per output column.
   float a[] = {1, 2, 3, 4};
   float bt[] = {5, 6, 7, 8};
+  float bias[] = {1, -100};
   float c[4] = {};
-  gemm_nt(2, 2, 2, a, bt, c);
-  EXPECT_FLOAT_EQ(c[0], 17);
-  EXPECT_FLOAT_EQ(c[1], 23);
-  EXPECT_FLOAT_EQ(c[2], 39);
-  EXPECT_FLOAT_EQ(c[3], 53);
+  std::uint8_t mask[4] = {};
+  GemmScratch ws;
+  gemm_forward_nt(2, 2, 2, a, bt, bias, c, Epilogue::kBiasLeakyReLU, 0.5f,
+                  mask, ws);
+  EXPECT_FLOAT_EQ(c[0], 18);
+  EXPECT_FLOAT_EQ(c[1], (23 - 100) * 0.5f);
+  EXPECT_FLOAT_EQ(c[2], 40);
+  EXPECT_FLOAT_EQ(c[3], (53 - 100) * 0.5f);
+  EXPECT_EQ(mask[0], 0);
+  EXPECT_EQ(mask[1], 1);
 }
 
 TEST(Linear, ForwardShapeAndBias) {
@@ -141,7 +153,9 @@ TEST(Linear, WeightGradientCheck) {
 }
 
 TEST(LeakyReLU, ForwardSemantics) {
-  LeakyReLU act;
+  // The test oracle's standalone activation, which the fused epilogue is
+  // checked against (test_kernels).
+  oracle::LeakyReLU act;
   Tensor x({4});
   x[0] = 2.0f;
   x[1] = -2.0f;
@@ -155,7 +169,7 @@ TEST(LeakyReLU, ForwardSemantics) {
 }
 
 TEST(LeakyReLU, BackwardMask) {
-  LeakyReLU act;
+  oracle::LeakyReLU act;
   Tensor x({2});
   x[0] = 3.0f;
   x[1] = -3.0f;
@@ -230,7 +244,6 @@ TEST(LayoutContract, ConvTrunkBoundariesCarryChannelMajor) {
   // and the pool->fc seam are row-major; everything between convs stays
   // channel-major, and each backward hands dx back in the layout its
   // forward consumed.
-  set_conv_layout_mode(ConvLayoutMode::kChannelMajor);
   util::Pcg32 rng(42);
   Conv2d conv1(3, 6, 3, rng, "c1", Act::kLeakyReLU);
   Conv2d conv2(6, 8, 3, rng, "c2", Act::kLeakyReLU);
@@ -262,26 +275,23 @@ TEST(LayoutContract, ConvTrunkBoundariesCarryChannelMajor) {
   EXPECT_EQ(dx.shape(), x.shape());
 }
 
-TEST(LayoutContract, RowMajorCompatModeKeepsEveryBoundaryRowMajor) {
-  // The A/B baseline: under kRowMajorCompat the same trunk must present
-  // PR-7's all-row-major activations at every boundary.
-  set_conv_layout_mode(ConvLayoutMode::kRowMajorCompat);
-  util::Pcg32 rng(42);
-  Conv2d conv1(3, 6, 3, rng, "c1", Act::kLeakyReLU);
-  GlobalAvgPool pool;
-  Tensor x = Tensor::randn({2, 3, 15, 15}, rng, 1.0);
-
-  Tensor y1 = conv1.forward(x);
-  EXPECT_EQ(y1.layout(), Layout::kRowMajor);
-  Tensor p = pool.forward(y1);
-  EXPECT_EQ(p.layout(), Layout::kRowMajor);
-  Tensor dp(p.shape());
-  dp.fill(1.0f);
-  Tensor dy1 = pool.backward(dp);
-  EXPECT_EQ(dy1.layout(), Layout::kRowMajor);
-  Tensor dx = conv1.backward(dy1);
-  EXPECT_EQ(dx.layout(), Layout::kRowMajor);
-  set_conv_layout_mode(ConvLayoutMode::kChannelMajor);
+TEST(LayoutContract, ConvBackwardRejectsRowMajorDy) {
+  // A conv's output is channel-major, so its incoming gradient must be
+  // too: Debug builds throw on any other layout instead of silently
+  // reading a row-major dy as dy^T.
+  if (!layout_checks_enabled()) {
+    GTEST_SKIP() << "layout asserts are compiled out of release builds";
+  }
+  util::Pcg32 rng(43);
+  Conv2d conv(2, 3, 1, rng, "c", Act::kLeakyReLU);
+  Tensor x = Tensor::randn({2, 2, 5, 5}, rng, 1.0);
+  Tensor y = conv.forward(x);
+  ASSERT_EQ(y.layout(), Layout::kChannelMajor);
+  Tensor dy(y.shape());  // row-major by default
+  dy.fill(1.0f);
+  EXPECT_THROW(conv.backward(dy), std::logic_error);
+  dy.set_layout(Layout::kChannelMajor);
+  EXPECT_NO_THROW(conv.backward(dy));
 }
 
 TEST(ResBlock, IdentitySkipPath) {

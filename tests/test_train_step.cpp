@@ -1,7 +1,8 @@
-// The fused training-step engine's contract: one fused
-// reduce + Adam + broadcast pass is byte-identical to the reference
-// three-pass sequence at every lane count and every thread count, and
-// pinned inference replicas are reused across attack() calls without
+// The fused training-step engine's contract: one fused reduce + Adam
+// pass over shared-weight lanes is byte-identical to a plain reduce
+// followed by Adam::step at every lane count and thread count; trained
+// models match golden digests at every lane count, serial and pooled;
+// and pinned inference replicas are reused across attack() calls without
 // changing any result.
 #include "nn/train_step.hpp"
 
@@ -15,7 +16,7 @@
 #include "eval/experiment.hpp"
 #include "nn/attack_net.hpp"
 #include "nn/optimizer.hpp"
-#include "runtime/parallel.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -60,11 +61,12 @@ void fill_grads(std::vector<Tensor>& lane_grads, util::Pcg32& rng) {
   }
 }
 
-/// Fused vs reference three-pass on raw tensors: `lanes` gradient lanes,
-/// several steps (the last one with a partial batch), run serially or on
-/// a pool. Master weights and every lane's weight copy must match byte
-/// for byte afterwards.
-void check_fused_matches_three_pass(int lanes, runtime::ThreadPool* pool) {
+/// Fused engine vs a plain reduce-then-Adam sequence on raw tensors:
+/// `lanes` gradient lanes, several steps (the last one with a partial
+/// batch), run serially or on a pool. The master weights must match byte
+/// for byte afterwards, and every lane gradient must be zeroed.
+void check_fused_matches_reduce_then_adam(int lanes,
+                                          runtime::ThreadPool* pool) {
   // Odd sizes on purpose: no tile or grain boundary alignment.
   const std::vector<std::vector<int>> shapes = {{7, 13}, {13}, {31, 3}, {5}};
   util::Pcg32 init(2024);
@@ -72,6 +74,7 @@ void check_fused_matches_three_pass(int lanes, runtime::ThreadPool* pool) {
   util::Pcg32 init_b(2024);  // identical initial weights
   ParamBank master_b(shapes, init_b);
 
+  // Lanes carry gradients only; their weight tensors are never read.
   auto make_lanes = [&](int count) {
     std::vector<ParamBank> banks;
     util::Pcg32 lane_rng(7);
@@ -88,11 +91,7 @@ void check_fused_matches_three_pass(int lanes, runtime::ThreadPool* pool) {
   TrainStep engine(master_b.params(), config);
   std::vector<std::vector<Param>> lane_params_b;
   for (ParamBank& lane : lanes_b) lane_params_b.push_back(lane.params());
-  engine.attach_lanes(lane_params_b, /*broadcast=*/true);
-
-  std::vector<Param> master_params_a = master_a.params();
-  std::vector<std::vector<Param>> lane_params_a;
-  for (ParamBank& lane : lanes_a) lane_params_a.push_back(lane.params());
+  engine.attach_lanes(lane_params_b);
 
   util::Pcg32 grad_rng_a(99);
   util::Pcg32 grad_rng_b(99);
@@ -103,28 +102,18 @@ void check_fused_matches_three_pass(int lanes, runtime::ThreadPool* pool) {
       fill_grads(lanes_b[l].grads, grad_rng_b);
     }
 
-    // Reference: the PR-2 three-pass sequence (reduce in ascending lane
-    // order, Adam step, broadcast to every lane).
-    runtime::parallel_for(
-        pool, 0, master_params_a.size(), /*grain=*/4, [&](std::size_t k) {
-          float* master = master_params_a[k].grad->data();
-          const std::size_t size = master_params_a[k].grad->size();
-          for (int l = 0; l < active; ++l) {
-            float* lane = lane_params_a[l][k].grad->data();
-            for (std::size_t j = 0; j < size; ++j) {
-              master[j] += lane[j];
-              lane[j] = 0.0f;
-            }
-          }
-        });
-    adam_a.step(pool);
-    for (int l = 0; l < lanes; ++l) {
-      for (std::size_t k = 0; k < master_params_a.size(); ++k) {
-        std::memcpy(lane_params_a[l][k].value->data(),
-                    master_params_a[k].value->data(),
-                    master_params_a[k].value->size() * sizeof(float));
+    // Reference: reduce in ascending lane order, then a plain Adam step.
+    for (std::size_t k = 0; k < shapes.size(); ++k) {
+      Tensor& master = master_a.grads[k];
+      for (int l = 0; l < active; ++l) {
+        Tensor& lane = lanes_a[l].grads[k];
+        for (std::size_t j = 0; j < master.size(); ++j) {
+          master[j] += lane[j];
+          lane[j] = 0.0f;
+        }
       }
     }
+    adam_a.step(pool);
 
     // Fused: one pass.
     engine.step(active, pool);
@@ -136,17 +125,17 @@ void check_fused_matches_three_pass(int lanes, runtime::ThreadPool* pool) {
     EXPECT_TRUE(same_bytes(master_a.grads[k], master_b.grads[k]))
         << "master grad " << k << " not zeroed identically";
     for (int l = 0; l < lanes; ++l) {
-      EXPECT_TRUE(same_bytes(lanes_a[l].values[k], lanes_b[l].values[k]))
-          << "lane " << l << " param " << k << " diverged";
+      EXPECT_TRUE(same_bytes(lanes_a[l].grads[k], lanes_b[l].grads[k]))
+          << "lane " << l << " grad " << k << " not zeroed identically";
     }
   }
 }
 
-TEST(TrainStep, FusedMatchesThreePassAcrossLanesAndThreads) {
+TEST(TrainStep, FusedMatchesReduceThenAdamAcrossLanesAndThreads) {
   for (int lanes : {1, 2, 8}) {
-    check_fused_matches_three_pass(lanes, nullptr);
+    check_fused_matches_reduce_then_adam(lanes, nullptr);
     runtime::ThreadPool pool(4);
-    check_fused_matches_three_pass(lanes, &pool);
+    check_fused_matches_reduce_then_adam(lanes, &pool);
   }
 }
 
@@ -163,7 +152,7 @@ TEST(TrainStep, NegativeActiveLanesThrows) {
   // ...and with lanes attached (where the old code clamped).
   util::Pcg32 lane_init(12);
   ParamBank lane(shapes, lane_init);
-  engine.attach_lanes({lane.params()}, /*broadcast=*/true);
+  engine.attach_lanes({lane.params()});
   EXPECT_THROW(engine.step(-3, nullptr), std::invalid_argument);
   // Zero stays valid: it means "no active lanes this step".
   EXPECT_NO_THROW(engine.step(0, nullptr));
@@ -250,8 +239,7 @@ nn::NetConfig tiny_net_config() {
 }
 
 std::string train_model_bytes(const eval::PreparedSplit& prepared,
-                              int batch_size, bool fused,
-                              runtime::ThreadPool* pool) {
+                              int batch_size, runtime::ThreadPool* pool) {
   DatasetConfig dataset_config;
   dataset_config.candidates.max_candidates = 6;
   dataset_config.build_images = false;
@@ -259,7 +247,6 @@ std::string train_model_bytes(const eval::PreparedSplit& prepared,
   TrainConfig train_config;
   train_config.epochs = 3;
   train_config.batch_size = batch_size;
-  train_config.fused_step = fused;
 
   std::vector<QueryDataset> training;
   training.emplace_back(prepared.split.get(), dataset_config);
@@ -274,29 +261,12 @@ std::string train_model_bytes(const eval::PreparedSplit& prepared,
   return bytes.str();
 }
 
-TEST(FusedTraining, ModelBytesMatchThreePassAcrossLanesAndThreads) {
-  eval::PreparedSplit prepared = tiny_prepared();
-  for (int lanes : {1, 2, 8}) {
-    const std::string unfused =
-        train_model_bytes(prepared, lanes, /*fused=*/false, nullptr);
-    // Fused, serial.
-    EXPECT_EQ(unfused,
-              train_model_bytes(prepared, lanes, /*fused=*/true, nullptr))
-        << "fused != three-pass at lanes " << lanes << " (serial)";
-    // Fused, pooled.
-    runtime::ThreadPool pool(4);
-    EXPECT_EQ(unfused,
-              train_model_bytes(prepared, lanes, /*fused=*/true, &pool))
-        << "fused != three-pass at lanes " << lanes << " (4 threads)";
-  }
-}
-
 std::uint64_t digest_of(const std::string& bytes) {
   return util::ContentHash().add_bytes(bytes.data(), bytes.size()).digest();
 }
 
 // Absolute anchor: FNV-1a digests of the tiny vector-only model after
-// fused training at lanes {1, 2, 8}, recorded once. Relative checks
+// training at lanes {1, 2, 8}, recorded once. Relative checks
 // (serial == pooled) cannot catch a change that shifts every execution
 // mode the same way; these can. The kernels promise identical bytes on
 // the portable, AVX2 and AVX-512 paths, so the digests hold on every
@@ -316,14 +286,14 @@ TEST(GoldenDigest, TinyVectorTrainingModelBytes) {
   eval::PreparedSplit prepared = tiny_prepared();
   for (const Golden& golden : goldens) {
     const std::string serial =
-        train_model_bytes(prepared, golden.lanes, /*fused=*/true, nullptr);
+        train_model_bytes(prepared, golden.lanes, nullptr);
     EXPECT_EQ(digest_of(serial), golden.digest)
         << "lanes " << golden.lanes << ": got 0x"
         << std::hex << digest_of(serial);
     // Single pinned replica (serial) == multi-lane replicas (pooled).
     runtime::ThreadPool pool(4);
     EXPECT_EQ(serial,
-              train_model_bytes(prepared, golden.lanes, /*fused=*/true, &pool))
+              train_model_bytes(prepared, golden.lanes, &pool))
         << "serial != 4-thread at lanes " << golden.lanes;
   }
 }
