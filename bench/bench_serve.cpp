@@ -1,34 +1,28 @@
-// Benchmark for the batched cross-query inference engine and the
-// coalescing serve loop (the tentpole measurement of the batched-serving
-// PR): train the fast-profile network once, then attack the same split at
-// batch widths B in {1, 4, 16, 64} and report queries/sec per width. Two
-// gates ride on every width:
+// Benchmark for the attack-serving loop: train the fast-profile network
+// once, then serve every victim query through ServeLoop from C concurrent
+// client threads for C in {1, 2, 4}, next to one batch-1 `attack()` row
+// (the serial inference pass) for reference. Each client count reports
+// queries/sec and client-observed p50/p99 submit latency. Two gates ride
+// on every row:
 //
-//   * byte-identity — selections and CCR at width B must equal the
-//     B == 1 baseline bit for bit (the batched path is a performance
-//     knob, never a semantic one);
-//   * alloc-free steady state — after one warm-up pass at width B, the
-//     measured repetitions must add ZERO activation-arena heap
-//     allocations (the replica arenas grow once to the widest batch and
-//     then stay flat).
-//
-// Each width also runs the ServeLoop front end (max_batch = B) under
-// concurrent client threads and reports client-observed p50/p99 submit
-// latency plus the realized batch shapes — the coalescing knee is
-// visible as queries/sec rising with B until the GEMMs saturate.
+//   * byte-identity — every served selection (and the attack() row's
+//     selections and CCR) must equal the batch-1 attack() baseline bit for
+//     bit;
+//   * alloc-free steady state — once every replica the sweep can lease has
+//     served every query, the timed passes must add ZERO replica clones
+//     and ZERO activation-arena heap allocations.
 //
 // Human-readable progress goes to stderr; stdout carries exactly one
 // JSON object (scripts/bench.sh redirects it to BENCH_serve.json).
 //
 // Flags:
 //   --smoke         tiny synthetic design, no timing claims; exercises
-//                   every width end-to-end and enforces both gates (CI)
-//   --design=c432   design used for the sweep
+//                   every client count end-to-end and enforces both gates
+//   --design=c432   design served
 //   --layer=1       split layer
 //   --epochs=2      training epochs before the sweep
-//   --widths=1,4,16,64
-//   --reps=3        timed attack() repetitions per width
-//   --clients=4     concurrent submitter threads for the ServeLoop pass
+//   --reps=3        timed passes over all queries per row
+//   --clients=1,2,4 concurrent submitter threads, one row each
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -41,6 +35,7 @@
 #include "attack/dl_attack.hpp"
 #include "bench_util.hpp"
 #include "eval/experiment.hpp"
+#include "runtime/thread_pool.hpp"
 #include "serve/serve_loop.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
@@ -69,16 +64,16 @@ double percentile(std::vector<double> sorted_us, double p) {
   return sorted_us[std::min(idx, sorted_us.size() - 1)];
 }
 
-struct WidthResult {
-  int width = 0;
-  double attack_seconds = 0.0;  ///< per timed repetition
+struct ClientsResult {
+  int clients = 0;
+  double seconds = 0.0;  ///< per timed pass over all queries
   double queries_per_sec = 0.0;
   long steady_arena_allocs = 0;
+  long steady_clones = 0;
   bool identical = false;
   double serve_p50_us = 0.0;
   double serve_p99_us = 0.0;
   long serve_batches = 0;
-  std::size_t serve_max_batch = 0;
 };
 
 }  // namespace
@@ -92,8 +87,7 @@ int main(int argc, char** argv) {
   int layer = 1;
   int epochs = 2;
   int reps = 3;
-  int clients = 4;
-  std::vector<int> widths = {1, 4, 16, 64};
+  std::vector<int> client_counts = {1, 2, 4};
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--smoke") {
@@ -107,14 +101,12 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--reps=", 0) == 0) {
       reps = sma::benchutil::parse_int(arg.substr(7), "--reps", 1);
     } else if (arg.rfind("--clients=", 0) == 0) {
-      clients = sma::benchutil::parse_int(arg.substr(10), "--clients", 1);
-    } else if (arg.rfind("--widths=", 0) == 0) {
-      widths.clear();
-      for (const std::string& w : sma::benchutil::split_list(arg.substr(9))) {
-        widths.push_back(sma::benchutil::parse_int(w, "--widths", 1));
+      client_counts.clear();
+      for (const std::string& c : sma::benchutil::split_list(arg.substr(10))) {
+        client_counts.push_back(sma::benchutil::parse_int(c, "--clients", 1));
       }
-      if (widths.empty()) {
-        std::cerr << "--widths needs at least one width\n";
+      if (client_counts.empty()) {
+        std::cerr << "--clients needs at least one count\n";
         return 2;
       }
     } else {
@@ -126,9 +118,9 @@ int main(int argc, char** argv) {
   sma::eval::ExperimentProfile profile = sma::eval::ExperimentProfile::fast();
   sma::eval::PreparedSplit prepared;
   if (smoke) {
-    // Tiny synthetic design, images ON: the batched fusion seam (source
-    // rows + strided sink broadcast) only exists on the image branch, so
-    // the smoke gate must drive it.
+    // Tiny synthetic design, images ON: the conv trunk and the
+    // source/sink fusion seam only exist on the image branch, so the
+    // smoke gate must drive it.
     sma::netlist::DesignProfile tiny;
     tiny.name = "smoke_serve";
     tiny.num_inputs = 8;
@@ -184,152 +176,144 @@ int main(int argc, char** argv) {
   victim.prebuild_images(nullptr);
   const long num_queries = static_cast<long>(victim.num_queries());
 
-  // Batch-1 serial baseline: the identity oracle for every width.
+  // Batch-1 serial baseline: the identity oracle for every row.
   const sma::attack::AttackResult baseline = dl.attack(victim);
   std::cerr << "bench_serve: " << num_queries << " queries, baseline CCR "
             << baseline.ccr << "\n";
 
-  sma::obs::RunReport report("serve", 1);
-  std::vector<WidthResult> results;
+  // The attack() row: timed serial batch-1 passes on the master net.
+  double attack_seconds = 0.0;
   bool identity_ok = true;
-  bool alloc_free = true;
-  for (int width : widths) {
-    WidthResult r;
-    r.width = width;
-
-    // Warm-up pass: grows the replica arena to this width's shapes and
-    // runs the identity gate.
-    const sma::attack::AttackResult warm = dl.attack(victim, nullptr, width);
-    r.identical = selections_equal(warm, baseline);
-    identity_ok = identity_ok && r.identical;
-
-    const long allocs_before = dl.inference_arena_stats().allocs;
+  {
     sma::util::Timer timer;
     for (int rep = 0; rep < reps; ++rep) {
-      const sma::attack::AttackResult timed = dl.attack(victim, nullptr, width);
-      r.identical = r.identical && selections_equal(timed, baseline);
+      identity_ok =
+          identity_ok && selections_equal(dl.attack(victim), baseline);
     }
-    r.attack_seconds = timer.seconds() / reps;
-    r.steady_arena_allocs = dl.inference_arena_stats().allocs - allocs_before;
-    identity_ok = identity_ok && r.identical;
-    alloc_free = alloc_free && r.steady_arena_allocs == 0;
-    r.queries_per_sec = r.attack_seconds > 0.0
-                            ? static_cast<double>(num_queries) /
-                                  r.attack_seconds
-                            : 0.0;
+    attack_seconds = timer.seconds() / reps;
+  }
+  const double attack_qps =
+      attack_seconds > 0.0 ? static_cast<double>(num_queries) / attack_seconds
+                           : 0.0;
+  std::cerr << "  attack(): " << attack_qps << " queries/sec ("
+            << attack_seconds << " s/pass)\n";
 
-    // ServeLoop pass: concurrent clients, client-observed submit latency.
-    {
-      sma::serve::ServeConfig serve_config;
-      serve_config.max_batch = width;
-      serve_config.max_wait_us = 200;
-      serve_config.dispatchers = 2;
-      sma::serve::ServeLoop loop(dl, serve_config);
-      std::vector<std::vector<double>> lat_us(
-          static_cast<std::size_t>(clients));
-      std::vector<sma::attack::Selection> got(
-          static_cast<std::size_t>(num_queries));
-      std::vector<std::thread> threads;
-      for (int c = 0; c < clients; ++c) {
-        threads.emplace_back([c, clients, num_queries, &lat_us, &got, &loop,
-                              &victim] {
-          for (long i = c; i < num_queries; i += clients) {
+  // Warm the fleet: every replica the widest row can lease serves every
+  // query once, so each replica arena has seen every query shape and the
+  // set holds as many replicas as any row can have on loan at once.
+  {
+    const int widest =
+        *std::max_element(client_counts.begin(), client_counts.end());
+    sma::attack::ReplicaLease lease =
+        dl.replicas().lease(static_cast<std::size_t>(widest), dl.net());
+    sma::nn::QueryInput input;
+    for (sma::nn::AttackNet* net : lease.nets()) {
+      for (long i = 0; i < num_queries; ++i) {
+        sma::attack::select_one(*net, victim, static_cast<std::size_t>(i),
+                                input);
+      }
+    }
+  }
+
+  sma::obs::RunReport report("serve", 1);
+  std::vector<ClientsResult> results;
+  bool alloc_free = true;
+  for (int clients : client_counts) {
+    ClientsResult r;
+    r.clients = clients;
+    r.identical = true;
+    const long allocs_before = dl.inference_arena_stats().allocs;
+    const long clones_before = dl.inference_clones();
+    sma::serve::ServeLoop loop(dl, sma::serve::ServeConfig{});
+    // Each client thread runs every timed pass, so its per-thread buffers
+    // warm up once per row rather than once per pass.
+    const std::size_t n = static_cast<std::size_t>(num_queries);
+    std::vector<std::vector<double>> lat_us(static_cast<std::size_t>(clients));
+    std::vector<sma::attack::Selection> got(n * static_cast<std::size_t>(reps));
+    sma::util::Timer timer;
+    std::vector<std::thread> threads;
+    for (int c = 0; c < clients; ++c) {
+      threads.emplace_back([c, clients, reps, n, &lat_us, &got, &loop,
+                            &victim] {
+        for (int rep = 0; rep < reps; ++rep) {
+          for (std::size_t i = c; i < n; i += clients) {
             sma::util::Timer t;
-            got[static_cast<std::size_t>(i)] =
-                loop.submit(victim, static_cast<std::size_t>(i));
+            got[static_cast<std::size_t>(rep) * n + i] = loop.submit(victim, i);
             lat_us[static_cast<std::size_t>(c)].push_back(t.seconds() * 1e6);
           }
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      loop.shutdown();
-      const sma::serve::ServeStats stats = loop.stats();
-      r.serve_batches = stats.batches;
-      r.serve_max_batch = stats.max_batch_seen;
-      std::vector<double> all_us;
-      for (const std::vector<double>& per_client : lat_us) {
-        all_us.insert(all_us.end(), per_client.begin(), per_client.end());
-      }
-      r.serve_p50_us = percentile(all_us, 0.5);
-      r.serve_p99_us = percentile(all_us, 0.99);
-      bool serve_identical = true;
-      for (long i = 0; i < num_queries; ++i) {
-        const sma::attack::Selection& g = got[static_cast<std::size_t>(i)];
-        const sma::attack::Selection& w =
-            baseline.selections[static_cast<std::size_t>(i)];
-        serve_identical = serve_identical &&
-                          g.sink_fragment == w.sink_fragment &&
-                          g.chosen_source == w.chosen_source &&
-                          g.correct == w.correct && g.num_sinks == w.num_sinks;
-      }
-      r.identical = r.identical && serve_identical;
-      identity_ok = identity_ok && serve_identical;
-      // The last width's serve stats land in the embedded report (the
-      // width/latency distributions accumulate across the whole sweep in
-      // the metrics histograms).
-      report.add_serve(stats);
+        }
+      });
     }
+    for (std::thread& t : threads) t.join();
+    r.seconds = timer.seconds() / reps;
+    std::vector<double> all_us;
+    for (const std::vector<double>& per_client : lat_us) {
+      all_us.insert(all_us.end(), per_client.begin(), per_client.end());
+    }
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      const sma::attack::Selection& g = got[k];
+      const sma::attack::Selection& w = baseline.selections[k % n];
+      r.identical = r.identical && g.sink_fragment == w.sink_fragment &&
+                    g.chosen_source == w.chosen_source &&
+                    g.correct == w.correct && g.num_sinks == w.num_sinks;
+    }
+    loop.shutdown();
+    const sma::serve::ServeStats stats = loop.stats();
+    r.serve_batches = stats.batches;
+    r.serve_p50_us = percentile(all_us, 0.5);
+    r.serve_p99_us = percentile(all_us, 0.99);
+    r.queries_per_sec =
+        r.seconds > 0.0 ? static_cast<double>(num_queries) / r.seconds : 0.0;
+    r.steady_arena_allocs = dl.inference_arena_stats().allocs - allocs_before;
+    r.steady_clones = dl.inference_clones() - clones_before;
+    identity_ok = identity_ok && r.identical && stats.failed == 0;
+    alloc_free = alloc_free && r.steady_arena_allocs == 0 &&
+                 r.steady_clones == 0;
+    // The last row's serve stats land in the embedded report.
+    report.add_serve(stats);
 
-    std::cerr << "  B=" << r.width << ": " << r.queries_per_sec
-              << " queries/sec (" << r.attack_seconds << " s/attack, "
-              << r.steady_arena_allocs << " steady arena allocs), serve p50 "
-              << r.serve_p50_us << "us p99 " << r.serve_p99_us << "us over "
-              << r.serve_batches << " batches (max width "
-              << r.serve_max_batch << "), "
+    std::cerr << "  clients=" << r.clients << ": " << r.queries_per_sec
+              << " queries/sec, p50 " << r.serve_p50_us << "us p99 "
+              << r.serve_p99_us << "us, " << r.serve_batches
+              << " forwards, " << r.steady_clones << " new clones, "
+              << r.steady_arena_allocs << " steady arena allocs, "
               << (r.identical ? "identical" : "DIFFERS") << "\n";
     results.push_back(r);
   }
   report.add_replicas(dl);
 
-  // The knee: the width where queries/sec peaks. Below it throughput must
-  // rise with B (wider GEMMs amortize per-query overhead); beyond it the
-  // kernels are saturated and extra width just adds latency. A 5% slack
-  // absorbs timer noise between adjacent widths.
-  std::size_t knee = 0;
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    if (results[i].queries_per_sec > results[knee].queries_per_sec) knee = i;
-  }
-  bool monotonic = true;
-  for (std::size_t i = 0; i < knee; ++i) {
-    monotonic = monotonic && results[i].queries_per_sec <=
-                                 results[i + 1].queries_per_sec * 1.05;
-  }
-  std::cerr << "  knee at B=" << results[knee].width << ", throughput "
-            << (monotonic ? "monotonic" : "NOT monotonic") << " up to it\n";
-
   std::ostringstream json;
   json << "{\"bench\": \"serve\", \"smoke\": " << (smoke ? "true" : "false")
        << ", \"design\": \"" << (smoke ? "smoke_serve" : design)
        << "\", \"layer\": " << layer << ", \"epochs\": " << epochs
-       << ", \"reps\": " << reps << ", \"clients\": " << clients
-       << ", \"num_queries\": " << num_queries << ", \"widths\": [";
+       << ", \"reps\": " << reps << ", \"num_queries\": " << num_queries
+       << ", \"host_concurrency\": " << sma::runtime::Config{}.resolved()
+       << ", \"attack\": {\"seconds\": " << attack_seconds
+       << ", \"queries_per_sec\": " << attack_qps << "}, \"clients\": [";
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const WidthResult& r = results[i];
+    const ClientsResult& r = results[i];
     if (i > 0) json << ", ";
-    json << "{\"width\": " << r.width
-         << ", \"attack_seconds\": " << r.attack_seconds
+    json << "{\"clients\": " << r.clients << ", \"seconds\": " << r.seconds
          << ", \"queries_per_sec\": " << r.queries_per_sec
-         << ", \"steady_arena_allocs\": " << r.steady_arena_allocs
-         << ", \"identical\": " << (r.identical ? "true" : "false")
          << ", \"serve_p50_us\": " << r.serve_p50_us
          << ", \"serve_p99_us\": " << r.serve_p99_us
          << ", \"serve_batches\": " << r.serve_batches
-         << ", \"serve_max_batch\": " << r.serve_max_batch << "}";
+         << ", \"steady_clones\": " << r.steady_clones
+         << ", \"steady_arena_allocs\": " << r.steady_arena_allocs
+         << ", \"identical\": " << (r.identical ? "true" : "false") << "}";
   }
-  json << "], \"knee_width\": " << results[knee].width
-       << ", \"monotonic_to_knee\": " << (monotonic ? "true" : "false")
-       << ", \"identity_ok\": " << (identity_ok ? "true" : "false")
+  json << "], \"identity_ok\": " << (identity_ok ? "true" : "false")
        << ", \"alloc_free\": " << (alloc_free ? "true" : "false")
        << sma::benchutil::report_fragment(report) << "}";
   std::cout << json.str() << "\n";
   sma::benchutil::flush_trace();
 
   std::cerr << (identity_ok
-                    ? "bit-identity check: all widths match batch-1\n"
+                    ? "bit-identity check: every row matches batch-1\n"
                     : "bit-identity check FAILED\n");
   if (!alloc_free) {
-    std::cerr << "steady-state check FAILED: arena still allocating after "
-                 "warm-up\n";
+    std::cerr << "steady-state check FAILED: replicas cloned or arenas "
+                 "allocated after the fleet warm-up\n";
   }
   if (!identity_ok || !alloc_free) return 1;
   return 0;

@@ -7,15 +7,16 @@
 #   scripts/bench.sh kernels
 #   scripts/bench.sh train --design=c432 --epochs=3
 #   scripts/bench.sh flow --designs=c432,b13 --threads=1,2,4
-#   scripts/bench.sh serve --design=c432 --widths=1,4,16,64
+#   scripts/bench.sh serve --design=c432 --clients=1,2,4
 #   scripts/bench.sh all                  # all five, default flags only
 #
 # Each bench prints human-readable progress on stderr and exactly one
 # JSON object on stdout; exit status is non-zero if its self-check fails
 # (bench_parallel: determinism across thread counts; bench_train: zero
 # steady-state arena allocations; bench_flow: byte-identical layouts
-# across thread counts; bench_serve: bit-identity between batched widths
-# and batch-1, zero steady-state arena allocations). bench_kernels only
+# across thread counts; bench_serve: served answers identical to batch-1
+# attack() at every client count, zero replica clones and arena
+# allocations after the fleet warm-up). bench_kernels only
 # measures: the kernels' bit-identity against the naive oracle is a test
 # (test_kernels). scripts/check_report.py --bench-gates re-checks the
 # written files.

@@ -66,8 +66,6 @@ SERVE_KEYS = (
     "failed",
     "empty",
     "batches",
-    "max_batch_seen",
-    "max_queue_depth",
 )
 SPLIT_CACHE_KEYS = (
     "hits",
@@ -194,11 +192,11 @@ BENCH_TRAIN_KEYS = ("fused_steady_allocs", "fused_arena_bytes",
 BENCH_FLOW_KEYS = ("designs", "summary", "deterministic", "wave_size")
 BENCH_FLOW_RUN_KEYS = ("threads", "seconds", "global_place_seconds",
                        "route_seconds", "negotiation_seconds")
-BENCH_SERVE_KEYS = ("widths", "knee_width", "monotonic_to_knee",
-                    "identity_ok", "alloc_free", "num_queries")
-BENCH_SERVE_ROW_KEYS = ("width", "queries_per_sec", "attack_seconds",
-                        "steady_arena_allocs", "identical", "serve_p50_us",
-                        "serve_p99_us")
+BENCH_SERVE_KEYS = ("clients", "attack", "identity_ok", "alloc_free",
+                    "num_queries", "host_concurrency")
+BENCH_SERVE_ROW_KEYS = ("clients", "queries_per_sec", "seconds",
+                        "steady_clones", "steady_arena_allocs", "identical",
+                        "serve_p50_us", "serve_p99_us")
 
 
 def gate_train(path, train):
@@ -232,14 +230,15 @@ def gate_flow(path, flow):
 
 def gate_serve(path, serve):
     require_keys(path, serve, BENCH_SERVE_KEYS, "serve bench")
-    if not serve["widths"]:
-        fail(path, "no batch widths measured")
-    for row in serve["widths"]:
-        require_keys(path, row, BENCH_SERVE_ROW_KEYS, "serve width row")
+    if not serve["clients"]:
+        fail(path, "no client counts measured")
+    for row in serve["clients"]:
+        require_keys(path, row, BENCH_SERVE_ROW_KEYS, "serve clients row")
+    require_keys(path, serve["attack"], ("queries_per_sec",), "serve attack row")
     if serve["identity_ok"] is not True:
-        fail(path, "batched scores differ from batch-1")
+        fail(path, "served selections differ from batch-1 attack()")
     if serve["alloc_free"] is not True:
-        fail(path, "nonzero steady-state arena allocs")
+        fail(path, "replica clones or arena allocs after the fleet warm-up")
     if serve["report"].get("serve") is None:
         fail(path, "report lost its serve section")
 

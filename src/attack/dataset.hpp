@@ -57,33 +57,6 @@ class QueryDataset {
   /// heap allocation once its buffers have seen the largest query.
   void input_into(std::size_t i, nn::QueryInput& out);
 
-  /// Vector rows query `i` contributes to a batched input; its images add
-  /// `batch_rows(i) + 1` planes when nonzero and images are built.
-  int batch_rows(std::size_t i) const {
-    return static_cast<int>(queries_.at(i).candidates.size());
-  }
-
-  /// Assemble queries [first, first + count) into one stacked
-  /// `forward_batched` input, in slot order (`out.query_rows[k]` is query
-  /// first + k's candidate count; empty queries contribute no rows or
-  /// planes). Reuses `out`'s tensors like `input_into` — grow-only, every
-  /// written element fully overwritten — so a serving worker that holds
-  /// one BatchedQueryInput across batches assembles without heap traffic
-  /// once its buffers have seen the widest batch. Same concurrency rule
-  /// as `input_into`: prebuild images first for concurrent callers.
-  void input_into_batch(std::size_t first, std::size_t count,
-                        nn::BatchedQueryInput& out);
-
-  /// Strided single-query fill for callers coalescing a batch across
-  /// datasets (the serving loop): writes query `i`'s vector rows at
-  /// out.vec rows [row0, row0 + n) and, when images are built and n > 0,
-  /// its image planes at out.images planes [plane0, plane0 + n + 1).
-  /// `out`'s tensors must already be sized; `out.query_rows` is the
-  /// caller's responsibility. All writers of one batch may run serially
-  /// on one thread only (this mutates the image cache unless prebuilt).
-  void fill_batch_query(std::size_t i, nn::BatchedQueryInput& out, int row0,
-                        int plane0);
-
   /// Render every image any query references into the cache, in parallel
   /// over `pool` (falling back to the config's pool, then serial).
   /// Idempotent; a no-op for vector-only datasets.
@@ -98,11 +71,6 @@ class QueryDataset {
   std::size_t cached_images() const { return image_cache_.size(); }
 
  private:
-  /// The shared fill behind input_into / fill_batch_query: query `i`'s
-  /// vector rows to `vec_dst` and, when `img_dst` is non-null, its
-  /// n + 1 image planes to `img_dst`.
-  void fill_query(std::size_t i, float* vec_dst, float* img_dst);
-
   const std::vector<float>& image_of(int virtual_pin);
   /// All virtual pins whose image some query needs, deduplicated, in a
   /// deterministic order.

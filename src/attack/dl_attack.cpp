@@ -23,61 +23,22 @@ struct Ref {
   int query;
 };
 
-/// Score one query on `net` and fill `out` (no-op choice for empty
-/// candidate lists, as in the serial reference implementation). `input`
-/// is the caller's reusable assembly buffer — one per worker, reused
-/// across its queries so steady-state serving never touches the heap.
-void select_one(nn::AttackNet& net, QueryDataset& dataset, std::size_t i,
-                nn::QueryInput& input, Selection& out) {
+}  // namespace
+
+Selection select_one(nn::AttackNet& net, QueryDataset& dataset,
+                     std::size_t i, nn::QueryInput& input) {
   const split::SinkQuery& query = dataset.query(i);
+  Selection out;
   out.sink_fragment = query.sink_fragment;
   out.num_sinks = query.num_sinks;
-  if (query.candidates.empty()) return;
+  if (query.candidates.empty()) return out;
   dataset.input_into(i, input);
-  // Scores live in the replica's activation arena — read in place.
-  const nn::Tensor& scores = net.forward(input);
-  int predicted = nn::predict(scores);
+  // Scores live in the net's activation arena — read in place.
+  const int predicted = nn::predict(net.forward(input));
   out.chosen_source = query.candidates[predicted].source_fragment;
   out.correct = query.candidates[predicted].positive;
+  return out;
 }
-
-/// Score queries [first, first + count) in ONE wide forward pass and fill
-/// their selections. Empty-candidate queries get the serial no-op choice
-/// and contribute nothing to the stacked input; an all-empty batch never
-/// reaches the net. `input` is the caller's reusable stacked assembly
-/// buffer — grow-only, so steady-state batches never touch the heap.
-/// Per-query scores are byte-identical to select_one (the forward_batched
-/// contract), and the span-predict overload runs the same comparison
-/// chain, so selections agree exactly with the batch-1 path.
-void select_batch(nn::AttackNet& net, QueryDataset& dataset,
-                  std::size_t first, std::size_t count,
-                  nn::BatchedQueryInput& input, Selection* out) {
-  std::size_t live_rows = 0;
-  for (std::size_t k = 0; k < count; ++k) {
-    const split::SinkQuery& query = dataset.query(first + k);
-    out[k].sink_fragment = query.sink_fragment;
-    out[k].num_sinks = query.num_sinks;
-    live_rows += query.candidates.size();
-  }
-  if (live_rows == 0) return;
-  dataset.input_into_batch(first, count, input);
-  const nn::Tensor& scores = net.forward_batched(input);
-  const int cols = scores.shape().size() == 2 && scores.dim(1) == 2 ? 2 : 1;
-  const float* s = scores.data();
-  int r = 0;
-  for (std::size_t k = 0; k < count; ++k) {
-    const int n = input.query_rows[k];
-    if (n == 0) continue;
-    const split::SinkQuery& query = dataset.query(first + k);
-    const int predicted =
-        nn::predict(s + static_cast<std::size_t>(r) * cols, n, cols);
-    out[k].chosen_source = query.candidates[predicted].source_fragment;
-    out[k].correct = query.candidates[predicted].positive;
-    r += n;
-  }
-}
-
-}  // namespace
 
 DlAttack::DlAttack(const nn::NetConfig& net_config)
     : net_(net_config), replicas_(std::make_unique<ReplicaSet>()) {}
@@ -472,31 +433,19 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
 }
 
 AttackResult DlAttack::attack(QueryDataset& dataset,
-                              runtime::ThreadPool* pool, int batch_width) {
+                              runtime::ThreadPool* pool) {
   SMA_TRACE_SPAN_V("attack", "attack", dataset.num_queries());
   SMA_COUNT("attack.calls");
-  if (batch_width < 1) {
-    throw std::invalid_argument("DlAttack::attack: batch_width must be >= 1");
-  }
   util::Timer timer;
   AttackResult result;
   result.attack_name = net_.config().use_images ? "dl(vec+img)" : "dl(vec)";
   const std::size_t n = dataset.num_queries();
-  const std::size_t bw = static_cast<std::size_t>(batch_width);
   result.selections.assign(n, Selection{});
 
   if (pool == nullptr || n == 0) {
-    if (bw <= 1) {
-      nn::QueryInput input;  // reused across the whole pass
-      for (std::size_t i = 0; i < n; ++i) {
-        select_one(net_, dataset, i, input, result.selections[i]);
-      }
-    } else {
-      nn::BatchedQueryInput input;  // reused across the whole pass
-      for (std::size_t base = 0; base < n; base += bw) {
-        select_batch(net_, dataset, base, std::min(bw, n - base), input,
-                     &result.selections[base]);
-      }
+    nn::QueryInput input;  // reused across the whole pass
+    for (std::size_t i = 0; i < n; ++i) {
+      result.selections[i] = select_one(net_, dataset, i, input);
     }
   } else {
     // Workers run pinned shared-weight replicas leased from the
@@ -514,27 +463,14 @@ AttackResult DlAttack::attack(QueryDataset& dataset,
     ReplicaLease lease = replicas_->lease(num_chunks, net_);
     runtime::TaskGroup group(pool);
     for (std::size_t c = 0; c < num_chunks; ++c) {
-      group.run([c, chunk, n, bw, &lease, &dataset, &result] {
+      group.run([c, chunk, n, &lease, &dataset, &result] {
         const std::size_t lo = c * chunk;
         const std::size_t hi = std::min(n, lo + chunk);
         SMA_TRACE_SPAN_V("attack", "chunk", hi - lo);
-        if (bw <= 1) {
-          nn::QueryInput input;  // reused across this worker's chunk
-          for (std::size_t i = lo; i < hi; ++i) {
-            select_one(*lease.nets()[c], dataset, i, input,
-                       result.selections[i]);
-          }
-        } else {
-          // The batch grid is anchored at the chunk base; the partition
-          // into chunks and batches depends only on n, the thread count,
-          // and bw — never on scheduling — and per-query scores are
-          // width-invariant anyway, so any grid gives the same result.
-          nn::BatchedQueryInput input;  // reused across this worker's chunk
-          for (std::size_t base = lo; base < hi; base += bw) {
-            select_batch(*lease.nets()[c], dataset, base,
-                         std::min(bw, hi - base), input,
-                         &result.selections[base]);
-          }
+        nn::QueryInput input;  // reused across this worker's chunk
+        for (std::size_t i = lo; i < hi; ++i) {
+          result.selections[i] =
+              select_one(*lease.nets()[c], dataset, i, input);
         }
       });
     }

@@ -15,8 +15,9 @@
 // models. Lanes share the master's weight tensors and each step runs the
 // fused TrainStep engine (nn/train_step.hpp) — one reduce+Adam pass, with
 // no weight copy back to the lanes. Inference partitions queries over
-// pinned shared-weight replicas (ReplicaSet); each query's scores land in
-// its own slot, so parallel CCRs equal serial ones.
+// pinned shared-weight replicas (ReplicaSet) and scores each with one
+// batch-1 forward (`select_one`); each selection lands in its own slot,
+// so parallel CCRs equal serial ones.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +86,15 @@ struct TrainStats {
   long checkpoints_saved = 0;
 };
 
+/// Score query `i` of `dataset` with one batch-1 forward on `net` and pick
+/// the highest-scoring candidate (Eq. 2). An empty candidate list yields
+/// the no-op choice without touching the net. `input` is the caller's
+/// reusable assembly buffer, so a worker that keeps one across queries
+/// assembles without heap traffic once warm. The one query-to-selection
+/// function: attack() workers and the serving loop both call it.
+Selection select_one(nn::AttackNet& net, QueryDataset& dataset,
+                     std::size_t i, nn::QueryInput& input);
+
 class DlAttack {
  public:
   explicit DlAttack(const nn::NetConfig& net_config);
@@ -108,20 +118,14 @@ class DlAttack {
   /// weights, private activation caches; no per-call clone) — so
   /// concurrent `attack` calls on one DlAttack are safe as long as every
   /// call passes a pool, and repeated calls reuse the same replicas.
-  ///
-  /// `batch_width` > 1 coalesces that many consecutive queries into one
-  /// wide `forward_batched` pass per replica (the dataset partition stays
-  /// in fixed slot order, so which replica serves a chunk never matters).
-  /// Purely a performance knob: scores — and therefore selections and
-  /// CCR — are byte-identical to batch_width == 1 at every width, thread
-  /// count (tests/test_serve.cpp, bench_serve).
+  /// Each query is one `select_one` call, so selections and CCR do not
+  /// depend on the thread count.
   AttackResult attack(QueryDataset& dataset,
-                      runtime::ThreadPool* pool = nullptr,
-                      int batch_width = 1);
+                      runtime::ThreadPool* pool = nullptr);
 
   /// The pinned inference replica set — the serving loop (src/serve/)
-  /// leases from it directly so bounded replicas backpressure request
-  /// coalescing the same way they backpressure attack() calls.
+  /// leases from it directly so bounded replicas backpressure serving
+  /// the same way they backpressure attack() calls.
   ReplicaSet& replicas() { return *replicas_; }
 
   /// Replicas created by pooled attack() calls so far. Pinning means this

@@ -1,4 +1,5 @@
-// Pinned inference replicas (ROADMAP "batched inference serving").
+// Pinned inference replicas, shared by pooled attack() calls and the
+// serving loop (src/serve/).
 //
 // Before this existed, every pooled `DlAttack::attack()` call cloned a
 // fresh network replica per worker — a full weight copy plus a full
@@ -13,7 +14,9 @@
 // Concurrency model: replicas are handed out through exclusive leases.
 // Sequential `attack()` calls reuse the same pinned replicas; concurrent
 // calls (e.g. parallel per-design evaluation) lease disjoint ones, and
-// the set only grows when every pinned replica is already on loan.
+// the set only grows when every pinned replica is already on loan. Each
+// ServeLoop submit leases one replica, so a bound (`set_max_replicas`)
+// caps how many submits run a forward at once.
 // Determinism is untouched: shared weights make all replicas numerically
 // identical, and outputs land in index-addressed slots, so *which*
 // replica serves a chunk never matters.

@@ -93,48 +93,12 @@ AttackNet::AttackNet(const NetConfig& config) : config_(config) {
 }
 
 const Tensor& AttackNet::forward(const QueryInput& input) {
-  const int n = input.vec.shape().size() == 2 ? input.vec.dim(0) : 0;
-  return forward_impl(input.vec, input.images, &n, 1);
-}
-
-const Tensor& AttackNet::forward_batched(const BatchedQueryInput& input) {
-  if (input.query_rows.empty()) {
-    throw std::invalid_argument("forward_batched: empty batch");
-  }
-  return forward_impl(input.vec, input.images, input.query_rows.data(),
-                      static_cast<int>(input.query_rows.size()));
-}
-
-const Tensor& AttackNet::forward_impl(const Tensor& vec, const Tensor& images,
-                                      const int* query_rows,
-                                      int num_queries) {
+  const Tensor& vec = input.vec;
+  const Tensor& images = input.images;
   if (vec.shape().size() != 2 || vec.dim(1) != config_.vector_dim) {
     throw std::invalid_argument("bad vector input " + vec.shape_string());
   }
-  // Row/plane accounting. A query with no candidates contributes neither
-  // vector rows nor image planes (its caller answers it without the net);
-  // the single-query path keeps its legacy shape contract exactly.
-  int rows = 0;
-  int planes = 0;
-  for (int q = 0; q < num_queries; ++q) {
-    const int nq = query_rows[q];
-    if (nq < 0) {
-      throw std::invalid_argument("negative candidate count in batch");
-    }
-    rows += nq;
-    if (nq > 0 || num_queries == 1) planes += nq + 1;
-  }
-  if (num_queries > 1 && rows == 0) {
-    throw std::invalid_argument(
-        "forward_batched: batch has no candidate rows");
-  }
-  if (vec.dim(0) != rows) {
-    throw std::invalid_argument(
-        "bad vector input " + vec.shape_string() + ": batch promises " +
-        std::to_string(rows) + " candidate rows");
-  }
-  n_ = rows;
-  batched_ = num_queries != 1;
+  n_ = vec.dim(0);
   const int h = config_.hidden;
 
   // Layer outputs are arena slots: the chains below thread references
@@ -147,17 +111,17 @@ const Tensor& AttackNet::forward_impl(const Tensor& vec, const Tensor& images,
 
   const Tensor* merged_in = nullptr;
   if (config_.use_images) {
-    if (images.shape().size() != 4 || images.dim(0) != planes ||
+    if (images.shape().size() != 4 || images.dim(0) != n_ + 1 ||
         images.dim(1) != config_.image_channels) {
       throw std::invalid_argument("bad image input " +
                                   images.shape_string());
     }
-    // --- shared conv trunk over every query's n_q source images + 1 sink
-    // image, all stacked. One layout contract binds the trunk: the
-    // dataset input is the first row-major seam (conv1's pack path reads
-    // NCHW natively), the trunk's activations then stay channel-major
+    // --- shared conv trunk over the n source images + 1 sink image,
+    // stacked. One layout contract binds the trunk: the dataset input is
+    // the first row-major seam (conv1's pack path reads NCHW natively),
+    // the trunk's activations then stay channel-major
     // (each layer's tag travels with its slot), and GlobalAvgPool is the
-    // second and last seam, reducing to a row-major [planes, h] matrix for
+    // second and last seam, reducing to a row-major [n + 1, h] matrix for
     // the fc head at zero conversion cost. Nothing between the seams may
     // assume row-major storage.
     const Tensor* x = &images;
@@ -169,41 +133,26 @@ const Tensor& AttackNet::forward_impl(const Tensor& vec, const Tensor& images,
     }
 #endif
     x = &fc3_->forward(*x);
-    x = &fc4_->forward(*x);  // [planes, h]
+    x = &fc4_->forward(*x);  // [n + 1, h]
 
-    // --- fuse each source embedding with its query's (shared) sink
-    // embedding (full overwrite: two memcpys cover each row). The seam is
-    // batch-strided: query q's candidates read x rows [m, m + n_q) and
-    // its sink row m + n_q, writing fused rows [r, r + n_q).
+    // --- fuse each source embedding with the (shared) sink embedding
+    // (full overwrite: two memcpys cover each row)
     Tensor& fused =
-        arena_->tensor(fused_slot_, {rows, 2 * h}, Arena::Fill::kNone);
-    int r = 0;
-    int m = 0;
-    for (int q = 0; q < num_queries; ++q) {
-      const int nq = query_rows[q];
-      if (nq == 0 && num_queries > 1) continue;
-      const float* sink_row =
-          x->data() + static_cast<std::size_t>(m + nq) * h;
-      for (int j = 0; j < nq; ++j) {
-        std::memcpy(
-            fused.data() + static_cast<std::size_t>(r + j) * 2 * h,
-            x->data() + static_cast<std::size_t>(m + j) * h,
-            sizeof(float) * h);
-        std::memcpy(
-            fused.data() + static_cast<std::size_t>(r + j) * 2 * h + h,
-            sink_row, sizeof(float) * h);
-      }
-      r += nq;
-      m += nq + 1;
+        arena_->tensor(fused_slot_, {n_, 2 * h}, Arena::Fill::kNone);
+    const float* sink_row = x->data() + static_cast<std::size_t>(n_) * h;
+    for (int j = 0; j < n_; ++j) {
+      std::memcpy(fused.data() + static_cast<std::size_t>(j) * 2 * h,
+                  x->data() + static_cast<std::size_t>(j) * h,
+                  sizeof(float) * h);
+      std::memcpy(fused.data() + static_cast<std::size_t>(j) * 2 * h + h,
+                  sink_row, sizeof(float) * h);
     }
-    const Tensor& img_out = fc5_img_->forward(fused);  // [rows, h]
+    const Tensor& img_out = fc5_img_->forward(fused);  // [n, h]
 
-    // --- concat vector and image embeddings (full overwrite; both sides
-    // are already in stacked candidate-row order, so the seam is
-    // query-agnostic)
+    // --- concat vector and image embeddings (full overwrite)
     Tensor& merged =
-        arena_->tensor(merged_slot_, {rows, 2 * h}, Arena::Fill::kNone);
-    for (int j = 0; j < rows; ++j) {
+        arena_->tensor(merged_slot_, {n_, 2 * h}, Arena::Fill::kNone);
+    for (int j = 0; j < n_; ++j) {
       std::memcpy(merged.data() + static_cast<std::size_t>(j) * 2 * h,
                   v->data() + static_cast<std::size_t>(j) * h,
                   sizeof(float) * h);
@@ -219,7 +168,7 @@ const Tensor& AttackNet::forward_impl(const Tensor& vec, const Tensor& images,
   const Tensor* m = &fc5_merged_->forward(*merged_in);
   for (ResBlock& block : merged_blocks_) m = &block.forward(*m);
   m = &fc6_->forward(*m);
-  Tensor& scores = fc7_->forward(*m);  // [rows, 1] or [rows, 2]
+  Tensor& scores = fc7_->forward(*m);  // [n, 1] or [n, 2]
   if (!config_.two_class) {
     scores.reshape({n_});
   }
@@ -227,11 +176,6 @@ const Tensor& AttackNet::forward_impl(const Tensor& vec, const Tensor& images,
 }
 
 void AttackNet::backward(const Tensor& dscores) {
-  if (batched_) {
-    throw std::logic_error(
-        "AttackNet::backward after forward_batched: the batched pass is "
-        "inference-only");
-  }
   const int h = config_.hidden;
   // The seed copied dscores only to flatten [n] into [n, 1]; Linear's
   // backward derives its row count from size()/out and never reads the

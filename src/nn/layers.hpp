@@ -13,15 +13,12 @@
 // one full tensor copy per layer while producing bit-identical values to
 // a separate activation layer.
 //
-// Batch-width contract: every layer derives its row (or image) count
-// from its INPUT's leading dimension — Linear from size()/in, Conv2d and
-// GlobalAvgPool from dim(0), ResBlock from its Linears — and the GEMM
-// core fixes each output element's accumulation chain independently of
-// how many rows share the call (nn/gemm.hpp). Stacking B queries' rows
-// into one input therefore IS the batched wide-GEMM path: per-row
-// outputs are byte-identical to B separate calls, at any batch width or
-// thread count. `AttackNet::forward_batched` builds
-// on exactly this; no layer carries separate batch-1/batched code.
+// Row-count contract: every layer derives its row (or image) count from
+// its INPUT's leading dimension — Linear from size()/in, Conv2d and
+// GlobalAvgPool from dim(0), ResBlock from its Linears — so one layer
+// instance serves queries of any candidate count n. The GEMM core fixes
+// each output element's accumulation chain independently of how many
+// rows share the call or how many threads run it (nn/gemm.hpp).
 //
 // Activation-arena contract: `forward`/`backward` return references to
 // tensors owned by the layer's bound `Arena` (nn/arena.hpp) instead of

@@ -80,19 +80,14 @@ LossResult two_class_loss(const Tensor& scores, int target) {
 
 int predict(const Tensor& scores) {
   const int n = candidate_count(scores);
-  const int cols =
-      scores.shape().size() == 2 && scores.dim(1) == 2 ? 2 : 1;
-  return predict(scores.data(), n, cols);
-}
-
-int predict(const float* scores, int n, int cols) {
   if (n == 0) return -1;
-  if (cols == 2) {
+  const float* s = scores.data();
+  if (scores.shape().size() == 2 && scores.dim(1) == 2) {
     int best = 0;
-    float best_margin = scores[1] - scores[0];
+    float best_margin = s[1] - s[0];
     for (int j = 1; j < n; ++j) {
-      float margin = scores[static_cast<std::size_t>(j) * 2 + 1] -
-                     scores[static_cast<std::size_t>(j) * 2 + 0];
+      float margin = s[static_cast<std::size_t>(j) * 2 + 1] -
+                     s[static_cast<std::size_t>(j) * 2 + 0];
       if (margin > best_margin) {
         best_margin = margin;
         best = j;
@@ -100,10 +95,9 @@ int predict(const float* scores, int n, int cols) {
     }
     return best;
   }
-  if (cols != 1) throw std::invalid_argument("predict: cols must be 1 or 2");
   int best = 0;
   for (int j = 1; j < n; ++j) {
-    if (scores[j] > scores[best]) best = j;
+    if (s[j] > s[best]) best = j;
   }
   return best;
 }

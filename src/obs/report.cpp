@@ -99,8 +99,6 @@ void RunReport::add_serve(const serve::ServeStats& stats) {
   serve_.failed = stats.failed;
   serve_.empty = stats.empty;
   serve_.batches = stats.batches;
-  serve_.max_batch_seen = static_cast<std::int64_t>(stats.max_batch_seen);
-  serve_.max_queue_depth = static_cast<std::int64_t>(stats.max_queue_depth);
 }
 
 std::string RunReport::to_json() const {
@@ -170,9 +168,7 @@ std::string RunReport::to_json() const {
        << ", \"answered\": " << serve_.answered
        << ", \"failed\": " << serve_.failed
        << ", \"empty\": " << serve_.empty
-       << ", \"batches\": " << serve_.batches
-       << ", \"max_batch_seen\": " << serve_.max_batch_seen
-       << ", \"max_queue_depth\": " << serve_.max_queue_depth << "}";
+       << ", \"batches\": " << serve_.batches << "}";
   } else {
     os << ", \"serve\": null";
   }

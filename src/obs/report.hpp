@@ -49,10 +49,8 @@ class RunReport {
   /// (leases, wait, occupancy) and the pinned replicas' arena stats.
   void add_replicas(const attack::DlAttack& attack);
 
-  /// Request-coalescing stats of one ServeLoop (src/serve/): submit and
-  /// batch lifecycle counters. The width/latency distributions travel in
-  /// the metrics section's histograms (serve.batch_width,
-  /// serve.queue_depth, serve.queue_wait_us).
+  /// Lifecycle counters of one ServeLoop (src/serve/): submits accepted,
+  /// answered, failed, answered inline, and forward passes run.
   void add_serve(const serve::ServeStats& stats);
 
   /// Serialize. Split-cache stats, kernel dispatch counts and the metrics
@@ -101,8 +99,6 @@ class RunReport {
     long failed = 0;
     long empty = 0;
     long batches = 0;
-    std::int64_t max_batch_seen = 0;
-    std::int64_t max_queue_depth = 0;
   };
 
   std::string name_;

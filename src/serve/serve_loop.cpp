@@ -1,40 +1,21 @@
 #include "serve/serve_loop.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "attack/replica_set.hpp"
-#include "features/vector_features.hpp"
 #include "obs/obs.hpp"
 
 namespace sma::serve {
 
 ServeLoop::ServeLoop(attack::DlAttack& attack, ServeConfig config)
-    : attack_(&attack), config_(config) {
-  if (config_.max_batch < 1) {
-    throw std::invalid_argument("ServeLoop: max_batch must be >= 1");
-  }
-  if (config_.dispatchers < 1) {
-    throw std::invalid_argument("ServeLoop: dispatchers must be >= 1");
-  }
-  dispatchers_.reserve(static_cast<std::size_t>(config_.dispatchers));
-  for (int i = 0; i < config_.dispatchers; ++i) {
-    dispatchers_.emplace_back([this] { dispatcher_main(); });
-  }
-}
+    : attack_(&attack), config_(config) {}
 
 ServeLoop::~ServeLoop() { shutdown(); }
 
 void ServeLoop::shutdown() {
-  {
-    util::MutexLock lock(mutex_);
-    closed_ = true;
-  }
-  arrivals_.notify_all();
-  for (std::thread& t : dispatchers_) {
-    if (t.joinable()) t.join();
-  }
+  util::MutexLock lock(mutex_);
+  closed_ = true;
+  while (in_flight_ > 0) idle_.wait(lock);
 }
 
 ServeStats ServeLoop::stats() const {
@@ -47,206 +28,60 @@ void ServeLoop::prepare_dataset(attack::QueryDataset& dataset) {
   for (attack::QueryDataset* d : prepared_) {
     if (d == &dataset) return;
   }
-  // One batch stacks every request into a single [planes, C, H, W]
-  // tensor, so all served datasets must agree on image geometry. The
-  // first dataset fixes the fleet's shape.
-  if (!prepared_.empty()) {
-    const attack::DatasetConfig& cfg = dataset.config();
-    const attack::DatasetConfig& fleet = prepared_.front()->config();
-    if (cfg.build_images != fleet.build_images ||
-        (cfg.build_images &&
-         (cfg.images.channels() != fleet.images.channels() ||
-          cfg.images.size != fleet.images.size))) {
-      throw std::invalid_argument(
-          "ServeLoop: dataset image geometry differs from the serving "
-          "fleet's (set by the first dataset served)");
-    }
-  }
-  // Prebuild makes the image cache immutable, so dispatcher threads can
-  // assemble batches from this dataset concurrently (read-only).
+  // Prebuild makes the image cache immutable, so concurrent submits can
+  // assemble inputs from this dataset (read-only).
   dataset.prebuild_images();
   prepared_.push_back(&dataset);
 }
 
+void ServeLoop::finish(long ServeStats::*outcome, bool forwarded) {
+  bool idle = false;
+  {
+    util::MutexLock lock(mutex_);
+    ++(stats_.*outcome);
+    if (forwarded) ++stats_.batches;
+    --in_flight_;
+    idle = closed_ && in_flight_ == 0;
+  }
+  if (idle) idle_.notify_all();
+}
+
 attack::Selection ServeLoop::submit(attack::QueryDataset& dataset,
                                     std::size_t query) {
-  prepare_dataset(dataset);
-  const split::SinkQuery& q = dataset.query(query);
-  if (q.candidates.empty()) {
-    // The attack()-path no-op choice; never worth a queue round-trip.
-    attack::Selection out;
-    out.sink_fragment = q.sink_fragment;
-    out.num_sinks = q.num_sinks;
-    util::MutexLock lock(mutex_);
-    if (closed_) {
-      throw std::runtime_error("ServeLoop::submit after shutdown");
-    }
-    ++stats_.submitted;
-    ++stats_.empty;
-    return out;
-  }
-
-  Request req;
-  req.dataset = &dataset;
-  req.query = query;
-  req.enqueue_us = obs::now_us();
   {
     util::MutexLock lock(mutex_);
     if (closed_) {
       throw std::runtime_error("ServeLoop::submit after shutdown");
     }
     ++stats_.submitted;
-    queue_.push_back(&req);
-    stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_.size());
-    SMA_HISTOGRAM("serve.queue_depth", queue_.size());
+    ++in_flight_;
   }
-  arrivals_.notify_all();
-  {
-    util::MutexLock lock(mutex_);
-    while (!req.done) completions_.wait(lock);
-  }
-  if (!req.error.empty()) {
-    if (req.lease_timeout) throw attack::AcquireTimeoutError(req.error);
-    throw std::runtime_error(req.error);
-  }
-  return req.result;
-}
-
-void ServeLoop::dispatcher_main() {
-  std::vector<Request*> batch;
-  nn::BatchedQueryInput input;  // grow-only; alloc-free once warm
-  while (true) {
-    batch.clear();
-    {
-      util::MutexLock lock(mutex_);
-      while (queue_.empty() && !closed_) arrivals_.wait(lock);
-      if (queue_.empty()) return;  // closed and drained
-      if (static_cast<int>(queue_.size()) < config_.max_batch &&
-          config_.max_wait_us > 0 && !closed_) {
-        // Latency budget: hold what we have and wait out the budget for
-        // more arrivals, so bursts coalesce into wide batches. The
-        // deadline bounds only this wait; wall-clock time never feeds a
-        // model, table, or layout.
-        const auto deadline =  // sma-lint: allow(entropy) cv deadline only
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(config_.max_wait_us);
-        while (static_cast<int>(queue_.size()) < config_.max_batch &&
-               !closed_) {
-          if (arrivals_.wait_until(lock, deadline) ==
-              std::cv_status::timeout) {
-            break;
-          }
-        }
-      }
-      // Another dispatcher may have drained the queue while we waited.
-      const std::size_t take = std::min<std::size_t>(
-          queue_.size(), static_cast<std::size_t>(config_.max_batch));
-      for (std::size_t k = 0; k < take; ++k) {
-        batch.push_back(queue_.front());
-        queue_.pop_front();
-      }
-      if (!batch.empty()) {
-        ++stats_.batches;
-        stats_.max_batch_seen = std::max(stats_.max_batch_seen, batch.size());
-      }
-    }
-    if (batch.empty()) continue;
-
-    SMA_HISTOGRAM("serve.batch_width", batch.size());
-    const double taken_us = obs::now_us();
-    for (const Request* r : batch) {
-      SMA_HISTOGRAM_US("serve.queue_wait_us",
-                       static_cast<std::uint64_t>(
-                           std::max(0.0, taken_us - r->enqueue_us)));
-    }
-    process_batch(batch, input);
-    {
-      util::MutexLock lock(mutex_);
-      for (Request* r : batch) {
-        if (r->error.empty()) {
-          ++stats_.answered;
-        } else {
-          ++stats_.failed;
-        }
-        r->done = true;
-      }
-    }
-    completions_.notify_all();
-  }
-}
-
-void ServeLoop::process_batch(std::vector<Request*>& batch,
-                              nn::BatchedQueryInput& input) {
-  SMA_TRACE_SPAN_V("serve", "batch", batch.size());
-  // Metadata pass: selection header fields plus the stacked layout.
-  // Empty-candidate queries are answered at submit, so every request here
-  // contributes rows; the n == 0 guards below are belt-and-braces.
-  input.query_rows.clear();
-  int rows = 0;
-  int planes = 0;
-  for (Request* r : batch) {
-    const split::SinkQuery& q = r->dataset->query(r->query);
-    r->result.sink_fragment = q.sink_fragment;
-    r->result.num_sinks = q.num_sinks;
-    const int n = r->dataset->batch_rows(r->query);
-    input.query_rows.push_back(n);
-    if (n > 0) {
-      rows += n;
-      planes += n + 1;
-    }
-  }
-  if (rows == 0) return;
-
-  // Assemble across datasets with per-request strided fills (every
-  // prepared dataset's image cache is immutable, so this only reads).
-  const attack::DatasetConfig& cfg = batch.front()->dataset->config();
-  const bool images = cfg.build_images;
-  input.vec.resize_reuse({rows, features::kNumVectorFeatures});
-  if (images) {
-    input.images.resize_reuse(
-        {planes, cfg.images.channels(), cfg.images.size, cfg.images.size});
-  } else {
-    input.images = nn::Tensor();
-  }
-  int r0 = 0;
-  int m0 = 0;
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    const int n = input.query_rows[k];
-    if (n == 0) continue;
-    batch[k]->dataset->fill_batch_query(batch[k]->query, input, r0, m0);
-    r0 += n;
-    m0 += n + 1;
-  }
-
+  // Grow-only assembly buffer per calling thread: a client's steady-state
+  // submits assemble their input without heap traffic.
+  thread_local nn::QueryInput input;
+  bool forwarded = false;
   try {
-    // One replica per pass: the ReplicaSet is the backpressure valve. A
-    // bounded set makes saturated dispatchers wait here (or time out),
-    // not pile more work onto the model.
-    attack::ReplicaLease lease = attack_->replicas().lease(
-        1, attack_->net(), config_.lease_timeout_seconds);
-    const nn::Tensor& scores = lease.nets()[0]->forward_batched(input);
-    const int cols =
-        scores.shape().size() == 2 && scores.dim(1) == 2 ? 2 : 1;
-    const float* s = scores.data();
-    int r = 0;
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      const int n = input.query_rows[k];
-      if (n == 0) continue;
-      const split::SinkQuery& q = batch[k]->dataset->query(batch[k]->query);
-      const int predicted =
-          nn::predict(s + static_cast<std::size_t>(r) * cols, n, cols);
-      batch[k]->result.chosen_source = q.candidates[predicted].source_fragment;
-      batch[k]->result.correct = q.candidates[predicted].positive;
-      r += n;
+    prepare_dataset(dataset);
+    if (dataset.query(query).candidates.empty()) {
+      // select_one answers these without touching the net: no lease.
+      const attack::Selection out =
+          attack::select_one(attack_->net(), dataset, query, input);
+      finish(&ServeStats::empty, false);
+      return out;
     }
-  } catch (const attack::AcquireTimeoutError& e) {
-    SMA_COUNT("serve.lease_timeouts");
-    for (Request* r : batch) {
-      r->error = e.what();
-      r->lease_timeout = true;
-    }
-  } catch (const std::exception& e) {
-    for (Request* r : batch) r->error = e.what();
+    attack::Selection out;
+    {
+      SMA_TRACE_SPAN("serve", "submit");
+      attack::ReplicaLease lease = attack_->replicas().lease(
+          1, attack_->net(), config_.lease_timeout_seconds);
+      forwarded = true;
+      out = attack::select_one(*lease.nets()[0], dataset, query, input);
+    }  // the replica goes back before shutdown() can see this submit end
+    finish(&ServeStats::answered, true);
+    return out;
+  } catch (...) {
+    finish(&ServeStats::failed, forwarded);
+    throw;
   }
 }
 

@@ -1,139 +1,102 @@
-// Coalescing attack-serving front end (ROADMAP "batched cross-query
-// inference engine + attack-serving front end").
+// Attack-serving front end: many concurrent callers, one query each.
 //
-// `attack()` batches queries it already holds; a serving tier faces the
-// opposite shape: many concurrent callers, one query each. ServeLoop
-// bridges them — callers `submit()` single queries and block; dispatcher
-// threads coalesce whatever is queued into one stacked
-// `AttackNet::forward_batched` pass under a latency budget (take up to
-// `max_batch` requests, waiting at most `max_wait_us` once at least one
-// is held). Each pass runs on ONE replica leased from the attack's
-// ReplicaSet, so a bounded set backpressures the serving tier exactly as
-// it does direct attack() calls — and a lease timeout propagates to every
-// request of the stalled batch as AcquireTimeoutError.
+// `submit()` answers one query on the CALLING thread: it leases one
+// replica from the attack's ReplicaSet, runs one batch-1 forward over the
+// query's n candidate VPPs (the paper's batch definition) through
+// `attack::select_one`, and returns the lease. Concurrency therefore
+// equals the number of callers. The replica bound
+// (`ReplicaSet::set_max_replicas`) plus `lease_timeout_seconds` are the
+// only backpressure: a saturated bounded set makes callers wait for a
+// replica, and a lease timeout reaches the submitter as
+// AcquireTimeoutError.
 //
-// Determinism contract: per-query scores are byte-identical to a direct
-// batch-1 `attack()` no matter how requests coalesce (the forward_batched
-// contract — accumulation order is per-query), so batch composition,
-// dispatcher count, and arrival timing never change any answer. Only
-// latency and throughput are timing-dependent. Shutdown is deterministic
-// too: every request enqueued before `shutdown()` is answered, then the
-// dispatchers exit; later submits throw.
+// Determinism contract: every answer is byte-identical to what a direct
+// batch-1 `attack()` chooses — both run `select_one` over replicas that
+// share the master's weights — so client count, replica count and arrival
+// timing never change any answer. Only latency and throughput are
+// timing-dependent.
 //
-// Concurrency (PR-9 conventions): one annotated util::Mutex guards the
-// queue/stats; waits are explicit loops with fixed deadlines. Requests
-// live on their submitter's stack — the submitter blocks until `done`,
-// so the pointers queued here stay valid. Datasets are registered on
-// first submit (linear scan — no pointer ordering): their image caches
-// are prebuilt so concurrent batch assembly only reads, and their image
-// geometry is checked against the first-served dataset, since one batch
-// stacks every request into a single image tensor.
+// Lifecycle: `shutdown()` rejects new submits and returns only after every
+// submit already accepted has finished. It may be called concurrently
+// with itself and with submits; the destructor calls it.
+//
+// Datasets are registered on first submit (linear scan — no pointer
+// ordering): their image caches are prebuilt there, because concurrent
+// callers may only read the cache.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "attack/attack_result.hpp"
 #include "attack/dataset.hpp"
 #include "attack/dl_attack.hpp"
-#include "nn/attack_net.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace sma::serve {
 
 struct ServeConfig {
-  /// Most requests one dispatch pass coalesces into a single wide
-  /// forward (the knee of BENCH_serve.json's queries/sec curve is the
-  /// economical setting).
-  int max_batch = 16;
-  /// Latency budget: once a dispatcher holds at least one request, how
-  /// long it waits for more arrivals before dispatching a partial batch.
-  /// 0 dispatches whatever is queued immediately.
-  std::int64_t max_wait_us = 500;
-  /// Dispatcher threads draining the queue. Each leases one replica per
-  /// batch, so useful parallelism is bounded by the replica cap.
-  int dispatchers = 1;
   /// Forwarded to ReplicaSet::lease: < 0 waits for a replica
-  /// indefinitely; >= 0 fails the whole batch with AcquireTimeoutError
-  /// after that many seconds (each submitter of the batch rethrows it).
+  /// indefinitely; >= 0 fails the submit with AcquireTimeoutError after
+  /// that many seconds.
   double lease_timeout_seconds = -1.0;
 };
 
-/// Lifecycle counters, snapshot via ServeLoop::stats(). Latency and width
-/// distributions go to the metrics registry instead (histograms
-/// serve.batch_width, serve.queue_depth, serve.queue_wait_us — in every
-/// sma-run-report-v1 metrics section alongside replica.lease_held_us).
+/// Lifecycle counters, snapshot via ServeLoop::stats(). Lease wait and
+/// hold times go to the ReplicaSet's stats and the metrics registry
+/// (histogram replica.lease_held_us).
 struct ServeStats {
-  long submitted = 0;      ///< submit() calls accepted
-  long answered = 0;       ///< requests completed with a selection
-  long failed = 0;         ///< requests completed with an error
-  long empty = 0;          ///< empty-candidate queries answered inline
-  long batches = 0;        ///< dispatch passes (including failed ones)
-  std::size_t max_batch_seen = 0;   ///< widest coalesced batch
-  std::size_t max_queue_depth = 0;  ///< deepest backlog at enqueue
+  long submitted = 0;  ///< submit() calls accepted
+  long answered = 0;   ///< non-empty queries answered with a selection
+  long failed = 0;     ///< accepted submits that threw
+  long empty = 0;      ///< empty-candidate queries answered inline
+  long batches = 0;    ///< forward passes run (one per non-empty submit
+                       ///< that obtained a replica, failed ones included)
 };
 
 class ServeLoop {
  public:
   /// Serves `attack`'s model. The attack (and every dataset later
-  /// submitted) must outlive this loop. Dispatchers start immediately.
+  /// submitted) must outlive this loop.
   ServeLoop(attack::DlAttack& attack, ServeConfig config);
-  ~ServeLoop();  ///< shutdown() + join
+  ~ServeLoop();  ///< shutdown()
   ServeLoop(const ServeLoop&) = delete;
   ServeLoop& operator=(const ServeLoop&) = delete;
 
-  /// Serve one query of `dataset`: blocks until a dispatcher answers it,
-  /// then returns the selection — byte-identical to what a batch-1
-  /// attack() would have chosen. Empty-candidate queries are answered
-  /// inline (the attack()-path no-op choice) without touching the queue.
-  /// Throws AcquireTimeoutError when the batch that carried this request
-  /// timed out waiting for a replica, std::runtime_error after
-  /// shutdown(), and std::invalid_argument when `dataset`'s image
-  /// geometry differs from the fleet's (set by the first dataset served).
+  /// Serve one query of `dataset` on the calling thread and return its
+  /// selection — byte-identical to what a batch-1 attack() chooses.
+  /// Empty-candidate queries are answered inline without a replica.
+  /// Throws std::runtime_error after shutdown() (before touching the
+  /// dataset) and AcquireTimeoutError when no replica frees up within
+  /// `lease_timeout_seconds`; every other exception (e.g. the net's
+  /// std::invalid_argument for an input of the wrong shape) propagates
+  /// with its original type.
   attack::Selection submit(attack::QueryDataset& dataset, std::size_t query)
-      SMA_EXCLUDES(mutex_);
+      SMA_EXCLUDES(mutex_, prep_mutex_);
 
-  /// Drain and stop: requests already enqueued are answered, new submits
-  /// are rejected, dispatchers are joined. Idempotent; called by the
-  /// destructor. Do not call concurrently with itself.
+  /// Reject new submits, then wait for every accepted submit to finish.
+  /// Idempotent and safe to call concurrently; called by the destructor.
   void shutdown() SMA_EXCLUDES(mutex_);
 
   ServeStats stats() const SMA_EXCLUDES(mutex_);
 
  private:
-  /// One in-flight request, owned by its blocked submitter's stack.
-  struct Request {
-    attack::QueryDataset* dataset = nullptr;
-    std::size_t query = 0;
-    double enqueue_us = 0.0;
-    attack::Selection result;
-    std::string error;          ///< non-empty => the request failed
-    bool lease_timeout = false; ///< error is an AcquireTimeoutError
-    bool done = false;
-  };
-
-  void dispatcher_main();
-  /// Assemble `batch` into `input`, run one leased wide forward, and fill
-  /// each request's result (or error). Runs outside the queue mutex.
-  void process_batch(std::vector<Request*>& batch,
-                     nn::BatchedQueryInput& input);
-  /// First-submit registration: geometry check + image prebuild.
+  /// First-submit registration: image prebuild.
   void prepare_dataset(attack::QueryDataset& dataset)
       SMA_EXCLUDES(prep_mutex_);
+  /// Count an accepted submit's outcome and wake shutdown() when it was
+  /// the last one in flight.
+  void finish(long ServeStats::*outcome, bool forwarded)
+      SMA_EXCLUDES(mutex_);
 
   attack::DlAttack* attack_;
   ServeConfig config_;
 
   mutable util::Mutex mutex_;
-  util::CondVar arrivals_;     ///< signaled on enqueue and on shutdown
-  util::CondVar completions_;  ///< signaled when a batch's requests finish
-  std::deque<Request*> queue_ SMA_GUARDED_BY(mutex_);
+  util::CondVar idle_;  ///< signaled when the last in-flight submit ends
   bool closed_ SMA_GUARDED_BY(mutex_) = false;
+  long in_flight_ SMA_GUARDED_BY(mutex_) = 0;
   ServeStats stats_ SMA_GUARDED_BY(mutex_);
 
   util::Mutex prep_mutex_;
@@ -141,10 +104,6 @@ class ServeLoop {
   /// image caches. A vector scanned linearly: iteration order never
   /// matters and pointer-keyed containers are banned (lint).
   std::vector<attack::QueryDataset*> prepared_ SMA_GUARDED_BY(prep_mutex_);
-
-  /// Joined by shutdown(); only touched by the constructor and
-  /// shutdown(), never by dispatchers.
-  std::vector<std::thread> dispatchers_;
 };
 
 }  // namespace sma::serve

@@ -1,30 +1,27 @@
-// Batched inference + serving-loop contracts (src/serve/, PR "batched
-// cross-query inference engine").
+// Serving-loop contracts (src/serve/).
 //
-// The central claim under test: stacking B queries into one
-// forward_batched pass is BYTE-identical per query to B separate
-// forward calls — at every batch width, thread count, and batch
-// composition — so the serving tier can coalesce requests freely without
-// changing any answer. Plus the serving-loop lifecycle: shutdown drains
-// in-flight requests deterministically, lease timeouts propagate to
-// every waiting request of the stalled batch, and live leases show up in
-// occupancy snapshots.
+// The central claim under test: a ServeLoop answer is byte-identical to
+// the batch-1 `attack()` answer at every client count, with bounded and
+// unbounded replica sets — both run `select_one` over replicas that share
+// the master's weights. Plus the lifecycle: shutdown drains in-flight
+// submits and is safe to call concurrently, a rejected submit touches no
+// dataset, lease timeouts and forward errors reach the submitter with
+// their own types, warm serving adds no replicas and no arena
+// allocations, and live leases show up in occupancy snapshots.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "attack/dl_attack.hpp"
 #include "attack/replica_set.hpp"
-#include "nn/losses.hpp"
-#include "runtime/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "serve/serve_loop.hpp"
 #include "test_support.hpp"
-#include "util/rng.hpp"
 
 namespace sma::attack {
 namespace {
@@ -49,14 +46,13 @@ nn::NetConfig serve_net_config() {
   return config;
 }
 
-/// Shared trained model + victim dataset + the batch-1 serial baseline
-/// (selections AND raw per-query score bytes). Built once: training even
-/// the tiny image net dominates suite time otherwise.
+/// Shared trained model + victim dataset + the batch-1 serial baseline.
+/// Built once: training even the tiny image net dominates suite time
+/// otherwise.
 struct ServeFixtureState {
   std::unique_ptr<DlAttack> dl;
   std::unique_ptr<QueryDataset> victim;
   AttackResult baseline;
-  std::vector<std::vector<float>> baseline_scores;  ///< per query, [] if empty
 };
 
 ServeFixtureState& fixture() {
@@ -79,244 +75,94 @@ ServeFixtureState& fixture() {
     s->victim = std::make_unique<QueryDataset>(victim_split.split.get(),
                                                serve_dataset_config());
     s->baseline = s->dl->attack(*s->victim);
-
-    // Raw batch-1 score bytes per query: the identity oracle.
-    nn::QueryInput input;
-    for (std::size_t i = 0; i < s->victim->num_queries(); ++i) {
-      std::vector<float>& row = s->baseline_scores.emplace_back();
-      if (s->victim->query(i).candidates.empty()) continue;
-      s->victim->input_into(i, input);
-      const nn::Tensor& scores = s->dl->net().forward(input);
-      row.assign(scores.data(), scores.data() + scores.size());
-    }
     return s;
   }();
   return *state;
 }
 
-void expect_selections_equal(const AttackResult& got,
-                             const AttackResult& want) {
-  ASSERT_EQ(got.selections.size(), want.selections.size());
-  for (std::size_t i = 0; i < got.selections.size(); ++i) {
-    EXPECT_EQ(got.selections[i].sink_fragment, want.selections[i].sink_fragment);
-    EXPECT_EQ(got.selections[i].chosen_source, want.selections[i].chosen_source);
-    EXPECT_EQ(got.selections[i].correct, want.selections[i].correct);
-    EXPECT_EQ(got.selections[i].num_sinks, want.selections[i].num_sinks);
+/// First query of `dataset` with a non-empty candidate list.
+std::size_t first_live_query(const QueryDataset& dataset) {
+  for (std::size_t i = 0; i < dataset.num_queries(); ++i) {
+    if (!dataset.query(i).candidates.empty()) return i;
   }
-  EXPECT_EQ(got.ccr, want.ccr);  // bit-equal, not approximately
+  ADD_FAILURE() << "dataset has no query with candidates";
+  return 0;
 }
 
-TEST(BatchedAttack, BitIdenticalAcrossWidthsAndThreads) {
-  ServeFixtureState& f = fixture();
-  for (int width : {1, 2, 8, 64}) {
-    {
-      SCOPED_TRACE("serial width " + std::to_string(width));
-      expect_selections_equal(f.dl->attack(*f.victim, nullptr, width),
-                              f.baseline);
-    }
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) + " width " +
-                   std::to_string(width));
-      runtime::ThreadPool pool(threads);
-      expect_selections_equal(f.dl->attack(*f.victim, &pool, width),
-                              f.baseline);
-    }
-  }
-}
-
-TEST(BatchedAttack, ScoresBitEqualToBatchOne) {
-  ServeFixtureState& f = fixture();
-  const std::size_t n = f.victim->num_queries();
-  ASSERT_GT(n, 8u);
-  nn::BatchedQueryInput input;
-  for (std::size_t width : {std::size_t{2}, std::size_t{8}, n}) {
-    SCOPED_TRACE("width " + std::to_string(width));
-    for (std::size_t base = 0; base < n; base += width) {
-      const std::size_t count = std::min(width, n - base);
-      f.victim->input_into_batch(base, count, input);
-      ASSERT_EQ(input.query_rows.size(), count);
-      int rows = 0;
-      for (int nq : input.query_rows) rows += nq;
-      if (rows == 0) continue;
-      const nn::Tensor& scores = f.dl->net().forward_batched(input);
-      ASSERT_EQ(scores.dim(0), rows);
-      const float* s = scores.data();
-      for (std::size_t k = 0; k < count; ++k) {
-        const std::vector<float>& want = f.baseline_scores[base + k];
-        ASSERT_EQ(static_cast<std::size_t>(input.query_rows[k]), want.size());
-        EXPECT_EQ(std::memcmp(s, want.data(), want.size() * sizeof(float)), 0)
-            << "query " << base + k << " diverges from batch-1";
-        s += want.size();
-      }
-    }
-  }
-}
-
-TEST(BatchedAttack, RaggedFinalBatch) {
-  ServeFixtureState& f = fixture();
-  const std::size_t n = f.victim->num_queries();
-  ASSERT_GE(n, 3u);
-  // A trailing batch narrower than the width: the last 3 queries alone.
-  nn::BatchedQueryInput input;
-  f.victim->input_into_batch(n - 3, 3, input);
-  int rows = 0;
-  for (int nq : input.query_rows) rows += nq;
-  if (rows > 0) {
-    const nn::Tensor& scores = f.dl->net().forward_batched(input);
-    const float* s = scores.data();
-    for (std::size_t k = 0; k < 3; ++k) {
-      const std::vector<float>& want = f.baseline_scores[n - 3 + k];
-      EXPECT_EQ(std::memcmp(s, want.data(), want.size() * sizeof(float)), 0);
-      s += want.size();
-    }
-  }
-  // A width that cannot divide the dataset evenly end-to-end.
-  const int ragged_width = 7;
-  expect_selections_equal(f.dl->attack(*f.victim, nullptr, ragged_width),
-                          f.baseline);
-}
-
-TEST(BatchedAttack, SingleQueryDegenerateBatch) {
-  ServeFixtureState& f = fixture();
-  nn::BatchedQueryInput input;
-  for (std::size_t i = 0; i < std::min<std::size_t>(4, f.victim->num_queries());
-       ++i) {
-    if (f.victim->query(i).candidates.empty()) continue;
-    f.victim->input_into_batch(i, 1, input);
-    ASSERT_EQ(input.query_rows.size(), 1u);
-    const nn::Tensor& scores = f.dl->net().forward_batched(input);
-    const std::vector<float>& want = f.baseline_scores[i];
-    ASSERT_EQ(static_cast<std::size_t>(scores.size()), want.size());
-    EXPECT_EQ(
-        std::memcmp(scores.data(), want.data(), want.size() * sizeof(float)),
-        0);
-  }
-}
-
-TEST(BatchedForward, SkipsZeroRowQueries) {
-  // Unit-level: a batch whose middle query has no candidates contributes
-  // no rows and no planes, and the live queries' scores are bit-equal to
-  // their solo forwards.
-  nn::NetConfig config = serve_net_config();
-  nn::AttackNet net(config);
-  util::Pcg32 rng(11);
-  nn::QueryInput a;
-  a.vec = nn::Tensor::randn({3, 27}, rng, 1.0);
-  a.images = nn::Tensor::randn({4, 2, 15, 15}, rng, 0.3);
-  nn::QueryInput b;
-  b.vec = nn::Tensor::randn({2, 27}, rng, 1.0);
-  b.images = nn::Tensor::randn({3, 2, 15, 15}, rng, 0.3);
-
-  std::vector<float> want_a, want_b;
-  {
-    const nn::Tensor& sa = net.forward(a);
-    want_a.assign(sa.data(), sa.data() + sa.size());
-    const nn::Tensor& sb = net.forward(b);
-    want_b.assign(sb.data(), sb.data() + sb.size());
-  }
-
-  nn::BatchedQueryInput batch;
-  batch.query_rows = {3, 0, 2};
-  batch.vec = nn::Tensor({5, 27});
-  std::memcpy(batch.vec.data(), a.vec.data(), 3 * 27 * sizeof(float));
-  std::memcpy(batch.vec.data() + 3 * 27, b.vec.data(), 2 * 27 * sizeof(float));
-  batch.images = nn::Tensor({7, 2, 15, 15});
-  const std::size_t plane = 2 * 15 * 15;
-  std::memcpy(batch.images.data(), a.images.data(), 4 * plane * sizeof(float));
-  std::memcpy(batch.images.data() + 4 * plane, b.images.data(),
-              3 * plane * sizeof(float));
-
-  const nn::Tensor& scores = net.forward_batched(batch);
-  ASSERT_EQ(scores.dim(0), 5);
-  EXPECT_EQ(std::memcmp(scores.data(), want_a.data(),
-                        want_a.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(std::memcmp(scores.data() + want_a.size(), want_b.data(),
-                        want_b.size() * sizeof(float)),
-            0);
-}
-
-TEST(BatchedForward, RejectsBadBatches) {
-  nn::AttackNet net(serve_net_config());
-  nn::BatchedQueryInput batch;
-  EXPECT_THROW(net.forward_batched(batch), std::invalid_argument);
-  batch.query_rows = {0, 0};
-  batch.vec = nn::Tensor({0, 27});
-  EXPECT_THROW(net.forward_batched(batch), std::invalid_argument);
-  util::Pcg32 rng(5);
-  batch.query_rows = {2, -1};
-  batch.vec = nn::Tensor::randn({2, 27}, rng, 1.0);
-  EXPECT_THROW(net.forward_batched(batch), std::invalid_argument);
-  // Row count must match the stacked vec.
-  batch.query_rows = {2, 3};
-  EXPECT_THROW(net.forward_batched(batch), std::invalid_argument);
-}
-
-TEST(BatchedForward, BackwardAfterBatchedThrows) {
-  nn::NetConfig config = serve_net_config();
-  config.use_images = false;
-  nn::AttackNet net(config);
-  util::Pcg32 rng(3);
-
-  nn::BatchedQueryInput batch;
-  batch.query_rows = {2, 2};
-  batch.vec = nn::Tensor::randn({4, 27}, rng, 1.0);
-  const nn::Tensor& scores = net.forward_batched(batch);
-  nn::Tensor grad(scores.shape());
-  EXPECT_THROW(net.backward(grad), std::logic_error);
-
-  // A later single-query forward re-arms the training path.
-  nn::QueryInput single;
-  single.vec = nn::Tensor::randn({2, 27}, rng, 1.0);
-  const nn::Tensor& s = net.forward(single);
-  nn::Tensor g(s.shape());
-  EXPECT_NO_THROW(net.backward(g));
-}
-
-TEST(ServeLoop, MatchesBatchOneAcrossConcurrentClients) {
-  ServeFixtureState& f = fixture();
-  serve::ServeConfig config;
-  config.max_batch = 8;
-  config.max_wait_us = 200;
-  config.dispatchers = 2;
-  serve::ServeLoop loop(*f.dl, config);
-
-  const std::size_t n = f.victim->num_queries();
+/// Submit every query of `dataset` to `loop` from `clients` threads
+/// (client c takes queries c, c + clients, ...); answers in query order.
+std::vector<Selection> serve_all(serve::ServeLoop& loop, QueryDataset& dataset,
+                                 int clients) {
+  const std::size_t n = dataset.num_queries();
   std::vector<Selection> got(n);
-  const int clients = 4;
   std::vector<std::thread> threads;
-  threads.reserve(clients);
+  threads.reserve(static_cast<std::size_t>(clients));
   for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([c, n, &got, &loop, &f] {
+    threads.emplace_back([c, clients, n, &got, &loop, &dataset] {
       for (std::size_t i = c; i < n; i += clients) {
-        got[i] = loop.submit(*f.victim, i);
+        got[i] = loop.submit(dataset, i);
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  loop.shutdown();
+  return got;
+}
 
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(got[i].sink_fragment, f.baseline.selections[i].sink_fragment);
-    EXPECT_EQ(got[i].chosen_source, f.baseline.selections[i].chosen_source);
-    EXPECT_EQ(got[i].correct, f.baseline.selections[i].correct);
-    EXPECT_EQ(got[i].num_sinks, f.baseline.selections[i].num_sinks);
+void expect_matches_baseline(const std::vector<Selection>& got,
+                             const AttackResult& want) {
+  ASSERT_EQ(got.size(), want.selections.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].sink_fragment, want.selections[i].sink_fragment);
+    EXPECT_EQ(got[i].chosen_source, want.selections[i].chosen_source);
+    EXPECT_EQ(got[i].correct, want.selections[i].correct);
+    EXPECT_EQ(got[i].num_sinks, want.selections[i].num_sinks);
+  }
+}
+
+/// A private attack over a byte copy of the fixture's trained net, so a
+/// test can bound its replica set without leaking into other tests.
+std::unique_ptr<DlAttack> copy_of_fixture_attack() {
+  std::stringstream bytes;
+  fixture().dl->net().save(bytes);
+  return std::make_unique<DlAttack>(nn::AttackNet::load(bytes));
+}
+
+TEST(ServeLoop, MatchesBatchOneAcrossConcurrentClients) {
+  ServeFixtureState& f = fixture();
+  const long n = static_cast<long>(f.victim->num_queries());
+
+  // Unbounded: every client gets its own replica.
+  for (int clients : {1, 2, 4}) {
+    SCOPED_TRACE("unbounded, clients " + std::to_string(clients));
+    serve::ServeLoop loop(*f.dl, serve::ServeConfig{});
+    expect_matches_baseline(serve_all(loop, *f.victim, clients), f.baseline);
+    loop.shutdown();
+    const serve::ServeStats stats = loop.stats();
+    EXPECT_EQ(stats.submitted, n);
+    EXPECT_EQ(stats.answered + stats.empty, n);
+    EXPECT_EQ(stats.batches, stats.answered);
+    EXPECT_EQ(stats.failed, 0);
   }
 
-  const serve::ServeStats stats = loop.stats();
-  EXPECT_EQ(stats.submitted, static_cast<long>(n));
-  EXPECT_EQ(stats.answered + stats.empty, static_cast<long>(n));
-  EXPECT_EQ(stats.failed, 0);
-  EXPECT_GE(stats.max_batch_seen, 1u);
-  EXPECT_LE(stats.max_batch_seen, 8u);
+  // Bounded to 2 replicas: 4 clients contend for leases.
+  std::unique_ptr<DlAttack> bounded = copy_of_fixture_attack();
+  bounded->replicas().set_max_replicas(2);
+  for (int clients : {1, 2, 4}) {
+    SCOPED_TRACE("bounded to 2, clients " + std::to_string(clients));
+    serve::ServeLoop loop(*bounded, serve::ServeConfig{});
+    expect_matches_baseline(serve_all(loop, *f.victim, clients), f.baseline);
+    loop.shutdown();
+    EXPECT_EQ(loop.stats().answered + loop.stats().empty, n);
+    EXPECT_EQ(loop.stats().failed, 0);
+  }
+  EXPECT_LE(bounded->inference_clones(), 2);
+  EXPECT_LE(bounded->replica_lease_stats().max_on_loan, 2u);
 }
 
 TEST(ServeLoop, ShutdownDrainsInFlightRequests) {
   ServeFixtureState& f = fixture();
-  serve::ServeConfig config;
-  config.max_batch = 4;
-  config.max_wait_us = 2000;  // long budget: shutdown must cut it short
-  serve::ServeLoop loop(*f.dl, config);
+  auto loop =
+      std::make_unique<serve::ServeLoop>(*f.dl, serve::ServeConfig{});
 
   const std::size_t n = f.victim->num_queries();
   std::atomic<long> answered{0};
@@ -326,7 +172,7 @@ TEST(ServeLoop, ShutdownDrainsInFlightRequests) {
     clients.emplace_back([c, n, &answered, &rejected, &loop, &f] {
       for (std::size_t i = c; i < n; i += 3) {
         try {
-          const Selection got = loop.submit(*f.victim, i);
+          const Selection got = loop->submit(*f.victim, i);
           // An answered request must carry the batch-1 answer even when
           // the loop is tearing down around it.
           EXPECT_EQ(got.chosen_source,
@@ -338,18 +184,49 @@ TEST(ServeLoop, ShutdownDrainsInFlightRequests) {
       }
     });
   }
-  // Let some requests in, then close the loop under load.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  loop.shutdown();
+  // Let some requests through, then close the loop under load from three
+  // threads at once: concurrent shutdown() calls must all return.
+  while (answered.load() < 3) std::this_thread::yield();
+  std::vector<std::thread> closers;
+  for (int k = 0; k < 2; ++k) {
+    closers.emplace_back([&loop] { loop->shutdown(); });
+  }
+  loop->shutdown();
+  // shutdown() returned, so every accepted submit has finished.
+  const serve::ServeStats at_close = loop->stats();
+  EXPECT_EQ(at_close.answered + at_close.empty + at_close.failed,
+            at_close.submitted);
+  for (std::thread& t : closers) t.join();
   for (std::thread& t : clients) t.join();
 
   // Every request was either answered correctly or rejected cleanly...
   EXPECT_EQ(answered.load() + rejected.load(), static_cast<long>(n));
   // ...and nothing was left hanging: accepted == completed.
-  const serve::ServeStats stats = loop.stats();
+  const serve::ServeStats stats = loop->stats();
+  EXPECT_EQ(stats.submitted, answered.load());
   EXPECT_EQ(stats.answered + stats.empty, answered.load());
   EXPECT_EQ(stats.failed, 0);
-  EXPECT_THROW(loop.submit(*f.victim, 0), std::runtime_error);
+  EXPECT_THROW(loop->submit(*f.victim, 0), std::runtime_error);
+  // The destructor's shutdown() after an explicit one is a no-op.
+  loop.reset();
+}
+
+TEST(ServeLoop, RejectedSubmitRendersNoImages) {
+  ServeFixtureState& f = fixture();
+  serve::ServeLoop loop(*f.dl, serve::ServeConfig{});
+  loop.shutdown();
+  // A dataset the loop has never seen, images not yet rendered.
+  const test::SmallSplit& split = test::shared_split(3, 400, 14);
+  QueryDataset fresh(split.split.get(), serve_dataset_config());
+  ASSERT_EQ(fresh.cached_images(), 0u);
+  obs::Counter& rendered =
+      obs::Registry::global().counter("dataset.images_rendered");
+  const std::uint64_t rendered_before = rendered.value();
+  EXPECT_THROW(loop.submit(fresh, first_live_query(fresh)),
+               std::runtime_error);
+  EXPECT_EQ(rendered.value(), rendered_before);
+  EXPECT_EQ(fresh.cached_images(), 0u);
+  EXPECT_EQ(loop.stats().submitted, 0);
 }
 
 TEST(ServeLoop, LeaseTimeoutPropagatesToWaitingRequests) {
@@ -360,25 +237,17 @@ TEST(ServeLoop, LeaseTimeoutPropagatesToWaitingRequests) {
   dl.replicas().set_max_replicas(1);
 
   serve::ServeConfig config;
-  config.max_wait_us = 0;
   config.lease_timeout_seconds = 0.02;
   serve::ServeLoop loop(dl, config);
-
-  std::size_t live_query = f.victim->num_queries();
-  for (std::size_t i = 0; i < f.victim->num_queries(); ++i) {
-    if (!f.victim->query(i).candidates.empty()) {
-      live_query = i;
-      break;
-    }
-  }
-  ASSERT_LT(live_query, f.victim->num_queries());
+  const std::size_t live_query = first_live_query(*f.victim);
 
   {
-    // Hold the only replica: every batch the loop dispatches must time
-    // out and fail its requests with the typed saturation error.
+    // Hold the only replica: the submit must time out and fail with the
+    // typed saturation error.
     ReplicaLease hog = dl.replicas().lease(1, dl.net());
     EXPECT_THROW(loop.submit(*f.victim, live_query), AcquireTimeoutError);
-    EXPECT_GE(loop.stats().failed, 1);
+    EXPECT_EQ(loop.stats().failed, 1);
+    EXPECT_EQ(loop.stats().batches, 0);  // no forward ran
   }
   // Replica released: the same request now succeeds.
   const Selection got = loop.submit(*f.victim, live_query);
@@ -391,15 +260,41 @@ TEST(ServeLoop, LeaseTimeoutPropagatesToWaitingRequests) {
 TEST(ServeLoop, RejectsMismatchedImageGeometry) {
   ServeFixtureState& f = fixture();
   serve::ServeLoop loop(*f.dl, serve::ServeConfig{});
-  // Register the fleet geometry with a first request.
-  std::size_t any = 0;
-  loop.submit(*f.victim, any);
-  // A vector-only dataset cannot share batches with an image fleet.
+  loop.submit(*f.victim, first_live_query(*f.victim));
+  // A vector-only dataset cannot feed an image net: AttackNet::forward's
+  // shape check throws, and the submitter sees that exception unwrapped.
   DatasetConfig mismatched = serve_dataset_config();
   mismatched.build_images = false;
   const test::SmallSplit& split = test::shared_split(3, 400, 14);
   QueryDataset other(split.split.get(), mismatched);
-  EXPECT_THROW(loop.submit(other, 0), std::invalid_argument);
+  EXPECT_THROW(loop.submit(other, first_live_query(other)),
+               std::invalid_argument);
+  EXPECT_EQ(loop.stats().failed, 1);
+}
+
+TEST(ServeLoop, SteadyStateIsAllocFree) {
+  ServeFixtureState& f = fixture();
+  const int clients = 4;
+  // Warm-up pass: every replica the serving pass can lease (at most one
+  // per client, lowest free index first) serves every query once, so each
+  // arena has seen every query shape.
+  {
+    ReplicaLease lease =
+        f.dl->replicas().lease(static_cast<std::size_t>(clients), f.dl->net());
+    nn::QueryInput input;
+    for (nn::AttackNet* net : lease.nets()) {
+      for (std::size_t i = 0; i < f.victim->num_queries(); ++i) {
+        select_one(*net, *f.victim, i, input);
+      }
+    }
+  }
+  const long clones_before = f.dl->inference_clones();
+  const long allocs_before = f.dl->inference_arena_stats().allocs;
+  serve::ServeLoop loop(*f.dl, serve::ServeConfig{});
+  expect_matches_baseline(serve_all(loop, *f.victim, clients), f.baseline);
+  loop.shutdown();
+  EXPECT_EQ(f.dl->inference_clones() - clones_before, 0);
+  EXPECT_EQ(f.dl->inference_arena_stats().allocs - allocs_before, 0);
 }
 
 TEST(ReplicaSet, LiveLeasesCountTowardOccupancy) {
