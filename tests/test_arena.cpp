@@ -425,6 +425,34 @@ TEST(ArenaTraining, ThreadAndLaneMatrixStaysByteIdentical) {
   }
 }
 
+// Absolute anchor for this corpus: FNV-1a digests of the saved model,
+// recorded once, at lanes {1, 8}, serial and on 4 threads. At lanes 1
+// every epoch takes one optimizer step per query, so the digests cover
+// several steps per epoch. Changing one requires a CHANGES.md
+// justification.
+TEST(ArenaTraining, GoldenDigestsAtLanes1And8) {
+  struct Golden {
+    int lanes;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {1, 0xde9ec3e5044d4164ull},
+      {8, 0x4699a21a7f54a70aull},
+  };
+  eval::PreparedSplit prepared = tiny_prepared();
+  for (const Golden& golden : goldens) {
+    const TrainOutcome serial = train_once(prepared, golden.lanes, nullptr);
+    const std::string& bytes = serial.model_bytes;
+    const std::uint64_t digest =
+        util::ContentHash().add_bytes(bytes.data(), bytes.size()).digest();
+    EXPECT_EQ(digest, golden.digest)
+        << "lanes " << golden.lanes << ": got 0x" << std::hex << digest;
+    runtime::ThreadPool pool(4);
+    EXPECT_EQ(bytes, train_once(prepared, golden.lanes, &pool).model_bytes)
+        << "serial != 4-thread at lanes " << golden.lanes;
+  }
+}
+
 TEST(ArenaServing, PinnedReplicasStayAllocFreeAcrossAttacks) {
   eval::PreparedSplit prepared = tiny_prepared();
   DatasetConfig dataset_config;

@@ -17,6 +17,7 @@
 #include "nn/attack_net.hpp"
 #include "nn/optimizer.hpp"
 #include "runtime/thread_pool.hpp"
+#include "test_support.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -294,6 +295,67 @@ TEST(GoldenDigest, TinyVectorTrainingModelBytes) {
     runtime::ThreadPool pool(4);
     EXPECT_EQ(serial,
               train_model_bytes(prepared, golden.lanes, &pool))
+        << "serial != 4-thread at lanes " << golden.lanes;
+  }
+}
+
+/// The serving fixture's shapes: a tiny image-profile net over 9x9
+/// two-channel images, trained through DlAttack::train on images.
+std::string train_image_model_bytes(int batch_size,
+                                    runtime::ThreadPool* pool) {
+  const test::SmallSplit& split = test::shared_split(3, 400, 13);
+  DatasetConfig dataset_config;
+  dataset_config.candidates.max_candidates = 8;
+  dataset_config.images.size = 9;
+  dataset_config.images.pixel_sizes = {200, 400};
+
+  nn::NetConfig net_config;
+  net_config.hidden = 16;
+  net_config.vector_res_blocks = 1;
+  net_config.merged_res_blocks = 1;
+  net_config.image_channels = 2;
+  net_config.conv_channels = {4, 6, 8, 10};
+  net_config.image_fc = 16;
+  net_config.fc6_width = 8;
+
+  TrainConfig train_config;
+  train_config.epochs = 2;
+  train_config.max_queries_per_design = 0;
+  train_config.batch_size = batch_size;
+
+  std::vector<QueryDataset> training;
+  training.emplace_back(split.split.get(), dataset_config);
+  std::vector<QueryDataset> validation;
+  DlAttack dl(net_config);
+  TrainStats stats = dl.train(training, validation, train_config, pool);
+  // More than one optimizer step per epoch at every tested batch size.
+  EXPECT_GT(stats.queries_seen,
+            static_cast<long>(train_config.epochs) * batch_size);
+  std::stringstream bytes;
+  dl.net().save(bytes);
+  return bytes.str();
+}
+
+// Absolute anchor for image training through DlAttack::train (the conv
+// trunk, the image cache and the lane loop together) at lanes {1, 4},
+// serial and on 4 threads, on a dataset built without a pool. Recorded
+// once; changing one requires a CHANGES.md justification.
+TEST(GoldenDigest, TinyImageTrainingModelBytes) {
+  struct Golden {
+    int lanes;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {1, 0x125096b7a794d3efull},
+      {4, 0xd0b5d0ee5bea3d3cull},
+  };
+  for (const Golden& golden : goldens) {
+    const std::string serial = train_image_model_bytes(golden.lanes, nullptr);
+    EXPECT_EQ(digest_of(serial), golden.digest)
+        << "lanes " << golden.lanes << ": got 0x" << std::hex
+        << digest_of(serial);
+    runtime::ThreadPool pool(4);
+    EXPECT_EQ(serial, train_image_model_bytes(golden.lanes, &pool))
         << "serial != 4-thread at lanes " << golden.lanes;
   }
 }
