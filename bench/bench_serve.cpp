@@ -170,10 +170,9 @@ int main(int argc, char** argv) {
   std::cerr << "bench_serve: training " << epochs << " epochs...\n";
   dl.train(training, validation, train_config);
 
-  // The victim dataset, images prebuilt so the sweep times inference, not
-  // feature extraction.
+  // The victim dataset; construction renders every image, so the sweep
+  // times inference, not feature extraction.
   sma::attack::QueryDataset victim(prepared.split.get(), dataset_config);
-  victim.prebuild_images(nullptr);
   const long num_queries = static_cast<long>(victim.num_queries());
 
   // Batch-1 serial baseline: the identity oracle for every row.
@@ -181,7 +180,7 @@ int main(int argc, char** argv) {
   std::cerr << "bench_serve: " << num_queries << " queries, baseline CCR "
             << baseline.ccr << "\n";
 
-  // The attack() row: timed serial batch-1 passes on the master net.
+  // The attack() row: timed serial batch-1 passes on one pinned replica.
   double attack_seconds = 0.0;
   bool identity_ok = true;
   {

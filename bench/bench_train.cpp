@@ -62,10 +62,9 @@ PathResult run_path(const sma::eval::PreparedSplit& prepared,
   if (use_all_queries) train_config.max_queries_per_design = 0;
 
   std::vector<sma::attack::QueryDataset> training;
+  // Construction renders every image, so s/epoch measures the training
+  // loop, not feature extraction.
   training.emplace_back(prepared.split.get(), dataset_config);
-  // Feature extraction is dataset preparation, not training; render the
-  // image cache up front so s/epoch measures the training loop.
-  training.back().prebuild_images(nullptr);
   std::vector<sma::attack::QueryDataset> validation;
 
   sma::attack::DlAttack dl(net_config);

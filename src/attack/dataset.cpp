@@ -10,23 +10,33 @@ namespace sma::attack {
 
 QueryDataset::QueryDataset(const split::SplitDesign* split,
                            const DatasetConfig& config)
-    : split_(split), config_(config) {
+    : split_(split) {
   SMA_TRACE_SPAN("dataset", "build");
   SMA_COUNT("dataset.builds");
-  queries_ = split::build_queries(*split_, config_.candidates);
+  queries_ = split::build_queries(*split_, config.candidates);
   vector_features_.resize(queries_.size());
   runtime::parallel_for(
-      config_.pool, 0, queries_.size(), /*grain=*/8, [this](std::size_t i) {
+      config.pool, 0, queries_.size(), /*grain=*/8, [this](std::size_t i) {
         vector_features_[i].reserve(queries_[i].candidates.size());
         for (const split::Vpp& vpp : queries_[i].candidates) {
           vector_features_[i].push_back(
               features::compute_vector_features(*split_, vpp));
         }
       });
-  if (config_.build_images) {
+  if (config.build_images) {
     renderer_ =
-        std::make_unique<features::ImageRenderer>(split_, config_.images);
-    if (config_.pool != nullptr) prebuild_images(config_.pool);
+        std::make_unique<features::ImageRenderer>(split_, config.images);
+    // One image per distinct referenced pin. Rendering is pure per pin;
+    // the cache fill stays on this thread.
+    const std::vector<int> pins = referenced_pins();
+    SMA_TRACE_SPAN_V("dataset", "render_images", pins.size());
+    SMA_COUNT_N("dataset.images_rendered", pins.size());
+    std::vector<std::vector<float>> images = runtime::parallel_map(
+        config.pool, pins.size(), /*grain=*/1,
+        [this, &pins](std::size_t i) { return renderer_->render(pins[i]); });
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      image_cache_.emplace(pins[i], std::move(images[i]));
+    }
   }
 }
 
@@ -46,41 +56,13 @@ std::vector<int> QueryDataset::referenced_pins() const {
   return pins;
 }
 
-void QueryDataset::prebuild_images(runtime::ThreadPool* pool) {
-  if (!config_.build_images || renderer_ == nullptr) return;
-  if (pool == nullptr) pool = config_.pool;
-
-  std::vector<int> pins = referenced_pins();
-  std::erase_if(pins, [this](int pin) { return image_cache_.count(pin) > 0; });
-  if (pins.empty()) return;
-  SMA_TRACE_SPAN_V("dataset", "render_images", pins.size());
-  SMA_COUNT_N("dataset.images_rendered", pins.size());
-
-  // Rendering is pure per pin; the cache fill stays on this thread.
-  std::vector<std::vector<float>> images = runtime::parallel_map(
-      pool, pins.size(), /*grain=*/1,
-      [this, &pins](std::size_t i) { return renderer_->render(pins[i]); });
-  for (std::size_t i = 0; i < pins.size(); ++i) {
-    image_cache_.emplace(pins[i], std::move(images[i]));
-  }
-}
-
-const std::vector<float>& QueryDataset::image_of(int virtual_pin) {
-  auto it = image_cache_.find(virtual_pin);
-  if (it == image_cache_.end()) {
-    it = image_cache_.emplace(virtual_pin, renderer_->render(virtual_pin))
-             .first;
-  }
-  return it->second;
-}
-
-nn::QueryInput QueryDataset::input(std::size_t i) {
+nn::QueryInput QueryDataset::input(std::size_t i) const {
   nn::QueryInput input;
   input_into(i, input);
   return input;
 }
 
-void QueryDataset::input_into(std::size_t i, nn::QueryInput& out) {
+void QueryDataset::input_into(std::size_t i, nn::QueryInput& out) const {
   const split::SinkQuery& query = queries_.at(i);
   const int n = static_cast<int>(query.candidates.size());
 
@@ -95,7 +77,7 @@ void QueryDataset::input_into(std::size_t i, nn::QueryInput& out) {
                 sizeof(float) * features::kNumVectorFeatures);
   }
 
-  if (!config_.build_images || renderer_ == nullptr || n == 0) {
+  if (renderer_ == nullptr || n == 0) {
     out.images = nn::Tensor();
     return;
   }

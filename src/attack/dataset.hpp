@@ -1,12 +1,12 @@
 // Query dataset: per-sink-fragment candidate lists materialized as neural
 // network inputs, with cached virtual-pin images.
 //
-// One dataset wraps one split design. Vector features are computed eagerly
-// (in parallel when the config carries a pool); images are rendered lazily
-// per virtual pin and cached, since the same pin appears in many queries.
-// With a pool, construction instead prebuilds every image the dataset can
-// ever need — after `prebuild_images()` the cache is immutable, making
-// `input()` safe to call from concurrent attack/training workers.
+// One dataset wraps one split design. Construction computes every
+// candidate's vector features and renders the image of every virtual pin
+// some query references, once per pin (the same pin appears in many
+// queries) — in parallel when the config carries a pool. After
+// construction the dataset is immutable, so any number of attack,
+// training and serving threads may assemble inputs from it concurrently.
 #pragma once
 
 #include <memory>
@@ -26,8 +26,9 @@ struct DatasetConfig {
   features::ImageConfig images;
   /// Skip all image work (vector-only attacks / ablation).
   bool build_images = true;
-  /// Non-owning pool for parallel feature extraction; null = serial. The
-  /// pool must outlive every dataset operation that uses it.
+  /// Non-owning pool for feature extraction and image rendering during
+  /// construction only; null = serial. The dataset keeps no reference to
+  /// it once constructed.
   runtime::ThreadPool* pool = nullptr;
 };
 
@@ -36,7 +37,6 @@ class QueryDataset {
   QueryDataset(const split::SplitDesign* split, const DatasetConfig& config);
 
   const split::SplitDesign& split() const { return *split_; }
-  const DatasetConfig& config() const { return config_; }
 
   std::size_t num_queries() const { return queries_.size(); }
   const split::SinkQuery& query(std::size_t i) const { return queries_.at(i); }
@@ -45,39 +45,34 @@ class QueryDataset {
   int target(std::size_t i) const { return queries_.at(i).positive_index; }
   int num_sinks(std::size_t i) const { return queries_.at(i).num_sinks; }
 
-  /// Assemble the network input for query `i`. Renders and caches images
-  /// on first use. Safe to call concurrently only after
-  /// `prebuild_images()` (or construction with a pool, which prebuilds).
-  nn::QueryInput input(std::size_t i);
+  /// Assemble the network input for query `i`.
+  nn::QueryInput input(std::size_t i) const;
 
   /// Like `input`, but reuses `out`'s tensors in place
   /// (`Tensor::resize_reuse`: grow-only capacity, every element fully
   /// overwritten) — a training loop or inference worker that holds one
   /// QueryInput across queries assembles inputs without any per-query
   /// heap allocation once its buffers have seen the largest query.
-  void input_into(std::size_t i, nn::QueryInput& out);
-
-  /// Render every image any query references into the cache, in parallel
-  /// over `pool` (falling back to the config's pool, then serial).
-  /// Idempotent; a no-op for vector-only datasets.
-  void prebuild_images(runtime::ThreadPool* pool = nullptr);
+  void input_into(std::size_t i, nn::QueryInput& out) const;
 
   /// Weighted fraction of queries whose candidate list holds the truth.
   double candidate_hit_rate() const {
     return split::candidate_hit_rate(queries_);
   }
 
-  /// Total image cache entries (for tests/diagnostics).
+  /// Image cache entries: the distinct virtual pins some query references
+  /// (for tests/diagnostics).
   std::size_t cached_images() const { return image_cache_.size(); }
 
  private:
-  const std::vector<float>& image_of(int virtual_pin);
+  const std::vector<float>& image_of(int virtual_pin) const {
+    return image_cache_.at(virtual_pin);
+  }
   /// All virtual pins whose image some query needs, deduplicated, in a
   /// deterministic order.
   std::vector<int> referenced_pins() const;
 
   const split::SplitDesign* split_;
-  DatasetConfig config_;
   std::vector<split::SinkQuery> queries_;
   std::vector<std::vector<features::VectorFeatures>> vector_features_;
   std::unique_ptr<features::ImageRenderer> renderer_;

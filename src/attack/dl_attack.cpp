@@ -8,6 +8,7 @@
 #include "attack/checkpoint.hpp"
 #include "nn/train_step.hpp"
 #include "obs/obs.hpp"
+#include "runtime/parallel.hpp"
 #include "util/durable_io.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -25,7 +26,7 @@ struct Ref {
 
 }  // namespace
 
-Selection select_one(nn::AttackNet& net, QueryDataset& dataset,
+Selection select_one(nn::AttackNet& net, const QueryDataset& dataset,
                      std::size_t i, nn::QueryInput& input) {
   const split::SinkQuery& query = dataset.query(i);
   Selection out;
@@ -46,8 +47,8 @@ DlAttack::DlAttack(const nn::NetConfig& net_config)
 DlAttack::DlAttack(nn::AttackNet net)
     : net_(std::move(net)), replicas_(std::make_unique<ReplicaSet>()) {}
 
-TrainStats DlAttack::train(std::vector<QueryDataset>& training,
-                           std::vector<QueryDataset>& validation,
+TrainStats DlAttack::train(const std::vector<QueryDataset>& training,
+                           const std::vector<QueryDataset>& validation,
                            const TrainConfig& config,
                            runtime::ThreadPool* pool) {
   SMA_TRACE_SPAN_V("train", "train", config.epochs);
@@ -176,56 +177,33 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
   }
 
   // Lane replicas: identical weights, private gradients and activation
-  // caches. The lane structure runs even without a pool: accumulating a
-  // batch directly on the master net would associate the per-parameter
-  // float additions differently (backward's internal adds interleave
-  // with the cross-query sum), so only identical lane bookkeeping keeps
-  // serial and parallel models bit-identical. The lane count is fixed by
-  // the config — never by the pool — so the reduction order below is
-  // thread-count-invariant. Each lane is a shared-weight replica
+  // caches, one query per lane per step. The lane count is fixed by the
+  // config — never by the pool — so the reduction order in TrainStep is
+  // thread-count-invariant; with no pool the TaskGroup below runs the
+  // lanes inline, in lane order. Each lane is a shared-weight replica
   // (clone_shared): Adam updates land in the one weight copy every lane
   // reads, so nothing is ever copied back to the lanes.
-  const bool use_lanes = lanes > 1;
-  // Without a pool the lanes of a batch run in sequence anyway, so ONE
-  // shared-weight replica serves every lane: after each query its (still
-  // cache-hot) gradients accumulate onto the master in query order — the
-  // same ascending-order adds the multi-lane reduce performs, so the
-  // model stays byte-identical while the per-step working set shrinks
-  // from `lanes` replicas' gradients, im2col buffers and masks to one
-  // replica's worth.
-  const bool serial_lanes = use_lanes && pool == nullptr;
   std::vector<nn::AttackNet> lane_nets;
   std::vector<std::vector<nn::Param>> lane_params;
-  if (use_lanes) {
-    const int replicas = serial_lanes ? 1 : lanes;
-    lane_nets.reserve(replicas);
-    for (int l = 0; l < replicas; ++l) {
-      lane_nets.push_back(net_.clone_shared());
-    }
-    for (nn::AttackNet& lane : lane_nets) lane_params.push_back(lane.params());
-    if (!serial_lanes) engine.attach_lanes(lane_params);
-    // Concurrent lanes read the datasets' image caches; freeze them now.
-    if (pool != nullptr) {
-      for (QueryDataset& dataset : training) dataset.prebuild_images(pool);
-    }
-  }
+  lane_nets.reserve(static_cast<std::size_t>(lanes));
+  for (int l = 0; l < lanes; ++l) lane_nets.push_back(net_.clone_shared());
+  for (nn::AttackNet& lane : lane_nets) lane_params.push_back(lane.params());
+  engine.attach_lanes(lane_params);
 
-  // Reusable input-assembly buffers: one per training net (the master in
-  // per-query SGD mode, otherwise one per lane replica). input_into
+  // Reusable input-assembly buffers, one per lane replica. input_into
   // resizes them in place, so steady-state epochs assemble every query
   // without heap traffic. Each buffer is only ever touched by its own
   // lane's task — race-free under the pool.
-  std::vector<nn::QueryInput> lane_inputs(
-      lane_nets.empty() ? 1 : lane_nets.size());
+  std::vector<nn::QueryInput> lane_inputs(lane_nets.size());
 
-  // Activation-arena accounting: every net owns one arena for its
-  // lifetime (master + each lane replica). Epoch deltas expose the
-  // warm-up/steady-state split: the explicit warm-up below lands in the
-  // first epoch's delta, and every later delta must be 0 — bench_train
-  // and CI gate on it. (Validation replicas have their own arenas; see
-  // inference_arena_stats().)
+  // Activation-arena accounting: every lane replica owns one arena for
+  // its lifetime (the master net never runs here). Epoch deltas expose
+  // the warm-up/steady-state split: the explicit warm-up below lands in
+  // the first epoch's delta, and every later delta must be 0 —
+  // bench_train and CI gate on it. (Validation replicas have their own
+  // arenas; see inference_arena_stats().)
   const auto arena_allocs = [&]() {
-    long total = net_.arena().stats().allocs;
+    long total = 0;
     for (const nn::AttackNet& lane : lane_nets) {
       total += lane.arena().stats().allocs;
     }
@@ -257,21 +235,13 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
       }
     }
     if (largest != nullptr) {
-      const auto warm_net = [&](nn::AttackNet& net, nn::QueryInput& input,
-                                const std::vector<nn::Param>& params) {
-        training[largest->design].input_into(largest->query, input);
-        const nn::Tensor& scores = net.forward(input);
+      // Warm each lane's input-assembly buffer along with its net.
+      for (std::size_t l = 0; l < lane_nets.size(); ++l) {
+        training[largest->design].input_into(largest->query, lane_inputs[l]);
+        const nn::Tensor& scores = lane_nets[l].forward(lane_inputs[l]);
         nn::Tensor zero_grad(scores.shape());
-        net.backward(zero_grad);
-        for (const nn::Param& p : params) p.grad->fill(0.0f);
-      };
-      if (use_lanes) {
-        // Warm each lane's input-assembly buffer along with its net.
-        for (std::size_t l = 0; l < lane_nets.size(); ++l) {
-          warm_net(lane_nets[l], lane_inputs[l], lane_params[l]);
-        }
-      } else {
-        warm_net(net_, lane_inputs[0], net_.params());
+        lane_nets[l].backward(zero_grad);
+        for (const nn::Param& p : lane_params[l]) p.grad->fill(0.0f);
       }
     }
   }
@@ -290,86 +260,40 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
     std::vector<Ref> order = build_epoch_order();
 
     double epoch_loss = 0.0;
-    if (!use_lanes) {
-      // The paper's per-query SGD, unchanged. Adam runs serially here —
-      // a per-query fork/join over small tensors costs more than it
-      // saves.
-      nn::QueryInput& input = lane_inputs[0];
-      for (const Ref& ref : order) {
-        QueryDataset& dataset = training[ref.design];
-        dataset.input_into(ref.query, input);
-        const nn::Tensor& scores = net_.forward(input);
-        nn::LossResult loss =
-            two_class ? nn::two_class_loss(scores, dataset.target(ref.query))
-                      : nn::softmax_regression_loss(
-                            scores, dataset.target(ref.query));
-        net_.backward(loss.grad);
-        engine.optimizer().step(nullptr);
-        epoch_loss += loss.loss;
-        ++stats.queries_seen;
-      }
-    } else if (serial_lanes) {
-      // One pinned replica serves the whole batch; gradients accumulate
-      // onto the master after every query, in query order.
-      nn::AttackNet& worker = lane_nets[0];
-      const std::vector<nn::Param>& worker_params = lane_params[0];
-      nn::QueryInput& input = lane_inputs[0];
-      for (std::size_t base = 0; base < order.size();
-           base += static_cast<std::size_t>(lanes)) {
-        const int active = static_cast<int>(
-            std::min<std::size_t>(lanes, order.size() - base));
-        for (int l = 0; l < active; ++l) {
+    std::vector<double> lane_loss(static_cast<std::size_t>(lanes), 0.0);
+    for (std::size_t base = 0; base < order.size();
+         base += static_cast<std::size_t>(lanes)) {
+      const int active = static_cast<int>(
+          std::min<std::size_t>(lanes, order.size() - base));
+
+      // Forward/backward one query per lane, concurrently.
+      runtime::TaskGroup group(pool);
+      for (int l = 0; l < active; ++l) {
+        group.run([l, base, two_class, &order, &training, &lane_nets,
+                   &lane_inputs, &lane_loss] {
           const Ref& ref = order[base + static_cast<std::size_t>(l)];
-          QueryDataset& dataset = training[ref.design];
+          const QueryDataset& dataset = training[ref.design];
+          nn::QueryInput& input = lane_inputs[l];
           dataset.input_into(ref.query, input);
-          const nn::Tensor& scores = worker.forward(input);
+          nn::AttackNet& net = lane_nets[l];
+          const nn::Tensor& scores = net.forward(input);
           nn::LossResult loss =
-              two_class ? nn::two_class_loss(scores, dataset.target(ref.query))
-                        : nn::softmax_regression_loss(
-                              scores, dataset.target(ref.query));
-          worker.backward(loss.grad);
-          engine.accumulate(worker_params);
-          epoch_loss += loss.loss;
-        }
-        engine.optimizer().step(nullptr);
-        stats.queries_seen += active;
+              two_class
+                  ? nn::two_class_loss(scores, dataset.target(ref.query))
+                  : nn::softmax_regression_loss(scores,
+                                                dataset.target(ref.query));
+          net.backward(loss.grad);
+          lane_loss[l] = loss.loss;
+        });
       }
-    } else {
-      std::vector<double> lane_loss(static_cast<std::size_t>(lanes), 0.0);
-      for (std::size_t base = 0; base < order.size();
-           base += static_cast<std::size_t>(lanes)) {
-        const int active = static_cast<int>(
-            std::min<std::size_t>(lanes, order.size() - base));
+      group.wait();
 
-        // Forward/backward one query per lane, concurrently.
-        runtime::TaskGroup group(pool);
-        for (int l = 0; l < active; ++l) {
-          group.run([l, base, two_class, &order, &training, &lane_nets,
-                     &lane_inputs, &lane_loss] {
-            const Ref& ref = order[base + static_cast<std::size_t>(l)];
-            QueryDataset& dataset = training[ref.design];
-            nn::QueryInput& input = lane_inputs[l];
-            dataset.input_into(ref.query, input);
-            nn::AttackNet& net = lane_nets[l];
-            const nn::Tensor& scores = net.forward(input);
-            nn::LossResult loss =
-                two_class
-                    ? nn::two_class_loss(scores, dataset.target(ref.query))
-                    : nn::softmax_regression_loss(scores,
-                                                  dataset.target(ref.query));
-            net.backward(loss.grad);
-            lane_loss[l] = loss.loss;
-          });
-        }
-        group.wait();
+      // One fused reduce+Adam pass; lanes read the master's weight
+      // tensors directly.
+      engine.step(active, pool);
 
-        // One fused reduce+Adam pass; lanes read the master's weight
-        // tensors directly.
-        engine.step(active, pool);
-
-        for (int l = 0; l < active; ++l) epoch_loss += lane_loss[l];
-        stats.queries_seen += active;
-      }
+      for (int l = 0; l < active; ++l) epoch_loss += lane_loss[l];
+      stats.queries_seen += active;
     }
     stats.epoch_loss.push_back(
         order.empty() ? 0.0 : epoch_loss / static_cast<double>(order.size()));
@@ -381,7 +305,7 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
         (epoch + 1) % config.validate_every == 0) {
       long total = 0;
       long correct = 0;
-      for (QueryDataset& dataset : validation) {
+      for (const QueryDataset& dataset : validation) {
         AttackResult result = attack(dataset, pool);
         for (const Selection& s : result.selections) {
           total += s.num_sinks;
@@ -424,7 +348,6 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
       }
     }
   }
-  stats.arena_bytes_pinned = net_.arena().stats().bytes_pinned;
   for (const nn::AttackNet& lane : lane_nets) {
     stats.arena_bytes_pinned += lane.arena().stats().bytes_pinned;
   }
@@ -432,7 +355,7 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
   return stats;
 }
 
-AttackResult DlAttack::attack(QueryDataset& dataset,
+AttackResult DlAttack::attack(const QueryDataset& dataset,
                               runtime::ThreadPool* pool) {
   SMA_TRACE_SPAN_V("attack", "attack", dataset.num_queries());
   SMA_COUNT("attack.calls");
@@ -440,42 +363,33 @@ AttackResult DlAttack::attack(QueryDataset& dataset,
   AttackResult result;
   result.attack_name = net_.config().use_images ? "dl(vec+img)" : "dl(vec)";
   const std::size_t n = dataset.num_queries();
+  if (n == 0) return result;
   result.selections.assign(n, Selection{});
 
-  if (pool == nullptr || n == 0) {
-    nn::QueryInput input;  // reused across the whole pass
-    for (std::size_t i = 0; i < n; ++i) {
-      result.selections[i] = select_one(net_, dataset, i, input);
-    }
-  } else {
-    // Workers run pinned shared-weight replicas leased from the
-    // ReplicaSet — no per-call clone, no weight copies — and concurrent
-    // attack() calls (e.g. parallel per-design evaluation) lease disjoint
-    // replicas, so they stay race-free.
-    dataset.prebuild_images(pool);
-    std::size_t num_chunks = std::min<std::size_t>(
-        n, static_cast<std::size_t>(pool->num_threads()) + 1);
-    // A bounded replica set caps the fan-out: asking for more replicas
-    // than the bound can never be satisfied.
-    const std::size_t cap = replicas_->max_replicas();
-    if (cap > 0) num_chunks = std::min(num_chunks, cap);
-    const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
-    ReplicaLease lease = replicas_->lease(num_chunks, net_);
-    runtime::TaskGroup group(pool);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      group.run([c, chunk, n, &lease, &dataset, &result] {
-        const std::size_t lo = c * chunk;
-        const std::size_t hi = std::min(n, lo + chunk);
-        SMA_TRACE_SPAN_V("attack", "chunk", hi - lo);
-        nn::QueryInput input;  // reused across this worker's chunk
-        for (std::size_t i = lo; i < hi; ++i) {
-          result.selections[i] =
-              select_one(*lease.nets()[c], dataset, i, input);
-        }
-      });
-    }
-    group.wait();
+  // Workers run pinned shared-weight replicas leased from the ReplicaSet —
+  // no per-call clone, no weight copies — and concurrent attack() calls
+  // (e.g. parallel per-design evaluation) lease disjoint replicas, so
+  // they stay race-free. Without a pool one chunk covers every query.
+  std::size_t num_chunks = std::min(n, runtime::num_workers(pool));
+  // A bounded replica set caps the fan-out: asking for more replicas than
+  // the bound can never be satisfied.
+  const std::size_t cap = replicas_->max_replicas();
+  if (cap > 0) num_chunks = std::min(num_chunks, cap);
+  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
+  ReplicaLease lease = replicas_->lease(num_chunks, net_);
+  runtime::TaskGroup group(pool);
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    group.run([c, chunk, n, &lease, &dataset, &result] {
+      const std::size_t lo = c * chunk;
+      const std::size_t hi = std::min(n, lo + chunk);
+      SMA_TRACE_SPAN_V("attack", "chunk", hi - lo);
+      nn::QueryInput input;  // reused across this worker's chunk
+      for (std::size_t i = lo; i < hi; ++i) {
+        result.selections[i] = select_one(*lease.nets()[c], dataset, i, input);
+      }
+    });
   }
+  group.wait();
   result.ccr = compute_ccr(result.selections);
   result.seconds = timer.seconds();
   return result;

@@ -6,18 +6,17 @@
 // sink fragment of the victim design, pick the candidate with the highest
 // predicted score (Eq. 2).
 //
-// Parallel execution: with `batch_size` > 1 training accumulates the
-// gradients of a batch on fixed "lanes" — network replicas with identical
-// weights, one query per lane per step — and reduces lane gradients into
-// the Adam step in lane order. Lanes are scheduled on the pool but the
-// lane structure (and therefore every floating-point sum) depends only on
-// `batch_size`, so any thread count, including none, produces bit-identical
-// models. Lanes share the master's weight tensors and each step runs the
-// fused TrainStep engine (nn/train_step.hpp) — one reduce+Adam pass, with
-// no weight copy back to the lanes. Inference partitions queries over
+// Execution: training runs one query per "lane" — a network replica
+// sharing the master's weights — `batch_size` lanes per step (1 for the
+// paper's per-query SGD), and reduces lane gradients into one fused
+// TrainStep reduce+Adam pass (nn/train_step.hpp) in lane order, with no
+// weight copy back to the lanes. Inference partitions queries over
 // pinned shared-weight replicas (ReplicaSet) and scores each with one
-// batch-1 forward (`select_one`); each selection lands in its own slot,
-// so parallel CCRs equal serial ones.
+// batch-1 forward (`select_one`); each selection lands in its own slot.
+// A pool only runs lanes and chunks concurrently: the code path, the
+// lane structure and therefore every floating-point sum depend on the
+// config alone, so any thread count, including none, produces
+// bit-identical models and CCRs.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +41,8 @@ struct TrainConfig {
   /// Cap on training queries drawn per design per epoch (subsampling keeps
   /// single-core training tractable; 0 = use all).
   int max_queries_per_design = 400;
-  /// Queries per optimizer step. 1 reproduces the paper's per-query SGD;
-  /// > 1 sums gradients over the batch via parallel lanes (the effective
+  /// Queries per optimizer step, one lane replica each. 1 reproduces the
+  /// paper's per-query SGD; > 1 sums gradients over the batch (the effective
   /// step size grows with the batch, as with any summed minibatch, and a
   /// trailing partial batch takes a proportionally smaller step). Changing
   /// this changes the trained model — it is a training hyperparameter,
@@ -69,13 +68,13 @@ struct TrainStats {
   std::vector<double> validation_ccr;  ///< filled when validate_every > 0
   double seconds = 0.0;
   long queries_seen = 0;
-  /// Activation-arena heap-growth events per epoch, summed over the
-  /// master net and every gradient-lane replica. The first epoch warms
+  /// Activation-arena heap-growth events per epoch, summed over every
+  /// gradient-lane replica. The first epoch warms
   /// the arenas up to the largest query shape; once every query shape of
   /// an epoch has been seen before, its entry is 0 — the alloc-free
   /// steady state bench_train and CI assert.
   std::vector<long> arena_allocs_per_epoch;
-  /// Arena backing bytes pinned at the end of training (master + lanes).
+  /// Arena backing bytes pinned by the lanes at the end of training.
   std::size_t arena_bytes_pinned = 0;
   /// Epoch index this run resumed from (0 = started fresh). On resume the
   /// per-epoch vectors above still cover the FULL run: the histories come
@@ -92,7 +91,7 @@ struct TrainStats {
 /// reusable assembly buffer, so a worker that keeps one across queries
 /// assembles without heap traffic once warm. The one query-to-selection
 /// function: attack() workers and the serving loop both call it.
-Selection select_one(nn::AttackNet& net, QueryDataset& dataset,
+Selection select_one(nn::AttackNet& net, const QueryDataset& dataset,
                      std::size_t i, nn::QueryInput& input);
 
 class DlAttack {
@@ -106,21 +105,20 @@ class DlAttack {
   /// Train on `training` datasets; if `validation` is non-empty and
   /// `config.validate_every` > 0, track validation CCR. `pool` only
   /// changes wall-clock time, never the resulting model.
-  TrainStats train(std::vector<QueryDataset>& training,
-                   std::vector<QueryDataset>& validation,
+  TrainStats train(const std::vector<QueryDataset>& training,
+                   const std::vector<QueryDataset>& validation,
                    const TrainConfig& config,
                    runtime::ThreadPool* pool = nullptr);
 
-  /// Run inference over every query of `dataset` (runtime includes image
-  /// rendering, which is part of feature extraction as in the paper).
-  /// With a pool the shared network is never used directly — workers run
-  /// *pinned* replicas leased from the ReplicaSet (shared read-only
-  /// weights, private activation caches; no per-call clone) — so
-  /// concurrent `attack` calls on one DlAttack are safe as long as every
-  /// call passes a pool, and repeated calls reuse the same replicas.
-  /// Each query is one `select_one` call, so selections and CCR do not
-  /// depend on the thread count.
-  AttackResult attack(QueryDataset& dataset,
+  /// Run inference over every query of `dataset`. The shared network is
+  /// never used directly: `pool`'s threads plus the caller each run one
+  /// chunk of queries on a *pinned* replica leased from the ReplicaSet
+  /// (shared read-only weights, private activation caches; no per-call
+  /// clone), one replica for a serial call — so concurrent `attack` calls
+  /// on one DlAttack are safe, with or without a pool, and repeated calls
+  /// reuse the same replicas. Each query is one `select_one` call, so
+  /// selections and CCR do not depend on the thread count.
+  AttackResult attack(const QueryDataset& dataset,
                       runtime::ThreadPool* pool = nullptr);
 
   /// The pinned inference replica set — the serving loop (src/serve/)
@@ -128,7 +126,7 @@ class DlAttack {
   /// the same way they backpressure attack() calls.
   ReplicaSet& replicas() { return *replicas_; }
 
-  /// Replicas created by pooled attack() calls so far. Pinning means this
+  /// Replicas created by attack() calls so far. Pinning means this
   /// stops growing once the set covers the worker count — the test hook
   /// for the replica-reuse contract.
   long inference_clones() const { return replicas_->clones_created(); }

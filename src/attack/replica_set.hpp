@@ -1,4 +1,4 @@
-// Pinned inference replicas, shared by pooled attack() calls and the
+// Pinned inference replicas, shared by attack() calls and the
 // serving loop (src/serve/).
 //
 // Before this existed, every pooled `DlAttack::attack()` call cloned a

@@ -624,44 +624,36 @@ std::vector<AblationRow> run_figure5(
   };
 
   static_assert(kNumSettings == sizeof(settings) / sizeof(settings[0]));
+  // Pre-warm the split cache: all three settings want the same layouts,
+  // and concurrent first requests would all miss the same key and each
+  // rebuild the flow (SplitCache builds outside its lock and discards
+  // duplicate inserts). One parallel pass per distinct design here means
+  // the settings below hit the cache instead of racing to fill it.
+  const std::vector<netlist::DesignProfile>& corpus =
+      netlist::training_profiles();
+  runtime::parallel_for(
+      pool, 0, corpus.size() + designs.size(), /*grain=*/1,
+      [&](std::size_t i) {
+        if (i < corpus.size()) {
+          prepare_split(corpus[i], kSplitLayer, flow,
+                        seed ^ (corpus[i].num_gates * 31ull), pool);
+        } else {
+          const netlist::DesignProfile& d = designs[i - corpus.size()];
+          prepare_split(d, kSplitLayer, flow,
+                        seed ^ 0x5151u ^ (d.num_gates * 131ull), pool);
+        }
+      });
+  // The three settings train as one TaskGroup: setting-level tasks keep
+  // every thread busy across the serial stretches of a single training
+  // run, and rows land in setting order (slot-addressed), so the output
+  // matches the sequential loop row-for-row.
   std::vector<AblationRow> rows(kNumSettings);
-  if (pool != nullptr) {
-    // Pre-warm the split cache: all three settings want the same layouts,
-    // and concurrent first requests would all miss the same key and each
-    // rebuild the flow (SplitCache builds outside its lock and discards
-    // duplicate inserts). One parallel pass per distinct design here means
-    // the settings below hit the cache instead of racing to fill it.
-    {
-      const std::vector<netlist::DesignProfile>& corpus =
-          netlist::training_profiles();
-      runtime::parallel_for(
-          pool, 0, corpus.size() + designs.size(), /*grain=*/1,
-          [&](std::size_t i) {
-            if (i < corpus.size()) {
-              prepare_split(corpus[i], kSplitLayer, flow,
-                            seed ^ (corpus[i].num_gates * 31ull), pool);
-            } else {
-              const netlist::DesignProfile& d = designs[i - corpus.size()];
-              prepare_split(d, kSplitLayer, flow,
-                            seed ^ 0x5151u ^ (d.num_gates * 131ull), pool);
-            }
-          });
-    }
-    // The three settings train as one TaskGroup: setting-level tasks keep
-    // every thread busy across the serial stretches of a single training
-    // run, and rows land in setting order (slot-addressed), so the output
-    // matches the sequential loop row-for-row.
-    runtime::TaskGroup group(pool);
-    for (std::size_t s = 0; s < kNumSettings; ++s) {
-      group.run(
-          [s, &rows, &run_setting_cached] { rows[s] = run_setting_cached(s); });
-    }
-    group.wait();
-  } else {
-    for (std::size_t s = 0; s < kNumSettings; ++s) {
-      rows[s] = run_setting_cached(s);
-    }
+  runtime::TaskGroup group(pool);
+  for (std::size_t s = 0; s < kNumSettings; ++s) {
+    group.run(
+        [s, &rows, &run_setting_cached] { rows[s] = run_setting_cached(s); });
   }
+  group.wait();
   return rows;
 }
 

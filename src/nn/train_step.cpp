@@ -21,40 +21,20 @@ void TrainStep::attach_lanes(std::vector<std::vector<Param>> lanes) {
   lanes_ = std::move(lanes);
 }
 
-void TrainStep::accumulate(const std::vector<Param>& lane) {
-  if (lane.size() != master_.size()) {
-    throw std::invalid_argument(
-        "TrainStep: lane params not aligned with master params");
-  }
-  for (std::size_t k = 0; k < master_.size(); ++k) {
-    float* master_grad = master_[k].grad->data();
-    float* lane_grad = lane[k].grad->data();
-    const std::size_t size = master_[k].grad->size();
-    for (std::size_t j = 0; j < size; ++j) {
-      master_grad[j] += lane_grad[j];
-      lane_grad[j] = 0.0f;
-    }
-  }
-}
-
 void TrainStep::step(int active_lanes, runtime::ThreadPool* pool) {
-  if (active_lanes < 0) {
-    // A negative count is always a caller bug (a miscomputed partial
-    // batch); silently clamping it to 0 would run a spurious Adam step on
-    // zero gradients. Throw, matching the alignment checks above.
-    throw std::invalid_argument("TrainStep::step: negative active_lanes " +
-                                std::to_string(active_lanes));
+  // A count outside [0, lanes] is always a caller bug (a miscomputed
+  // partial batch); silently clamping it would run an Adam step on the
+  // wrong gradients. Throw, matching the alignment checks above.
+  if (active_lanes < 0 ||
+      static_cast<std::size_t>(active_lanes) > lanes_.size()) {
+    throw std::invalid_argument("TrainStep::step: active_lanes " +
+                                std::to_string(active_lanes) +
+                                " outside [0, " +
+                                std::to_string(lanes_.size()) + "]");
   }
   SMA_TRACE_SPAN_V("nn", "train_step", active_lanes);
   SMA_COUNT("nn.train_steps");
-  if (lanes_.empty()) {
-    adam_.step(pool);
-    return;
-  }
-  const std::size_t active =
-      static_cast<std::size_t>(active_lanes) < lanes_.size()
-          ? static_cast<std::size_t>(active_lanes)
-          : lanes_.size();
+  const std::size_t active = static_cast<std::size_t>(active_lanes);
   const Adam::StepScales scales = adam_.begin_step();
   runtime::parallel_for(
       pool, 0, master_.size(), /*grain=*/4, [&](std::size_t k) {

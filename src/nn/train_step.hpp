@@ -1,10 +1,10 @@
 // Fused training-step engine.
 //
-// Batched training reduces the gradients of several lanes into the
-// master parameters and then takes one Adam step. `TrainStep` does both
-// in ONE `parallel_for` pass: for each parameter it (1) adds the active
-// lanes' gradients onto the master gradient in ascending lane order,
-// zeroing each lane gradient, and (2) applies the Adam update via
+// Training reduces the gradients of one or more lanes into the master
+// parameters and then takes one Adam step. `TrainStep` does both in ONE
+// `parallel_for` pass: for each parameter it (1) adds the active lanes'
+// gradients onto the master gradient in ascending lane order, zeroing
+// each lane gradient, and (2) applies the Adam update via
 // `Adam::update_param` — so each parameter's state is touched exactly
 // once per step while it is hot in cache.
 //
@@ -44,27 +44,16 @@ class TrainStep {
 
   /// One fused reduce + Adam pass over all parameters, using the
   /// gradients of the first `active_lanes` lanes (a trailing partial
-  /// batch activates fewer lanes than are attached). With no lanes
-  /// attached this degrades to a plain `Adam::step`. A negative
-  /// `active_lanes` is a caller bug and throws std::invalid_argument.
+  /// batch activates fewer lanes than are attached). With zero active
+  /// lanes this is exactly `Adam::step` on the master gradients. A
+  /// negative `active_lanes`, or more than are attached, is a caller bug
+  /// and throws std::invalid_argument.
   void step(int active_lanes, runtime::ThreadPool* pool);
-
-  /// Serial-lane mode: add `lane`'s gradients onto the master gradients
-  /// (ascending parameter and element order) and zero them. A pool-less
-  /// training loop pins ONE shared-weight replica and calls this after
-  /// every query of the batch, then steps the optimizer — the adds reach
-  /// each master element in the same batch order as the multi-lane
-  /// reduce, so the sum (hence the model) is byte-identical while the
-  /// per-step working set shrinks from `lanes` replicas to one. The
-  /// gradients are still hot from the backward pass that produced them,
-  /// making this far cheaper than a deferred reduce.
-  void accumulate(const std::vector<Param>& lane);
 
   void decay_lr() { adam_.decay_lr(); }
   double learning_rate() const { return adam_.learning_rate(); }
 
-  /// The underlying optimizer — the per-query (batch_size = 1) training
-  /// path steps it directly, bypassing the lane machinery.
+  /// The underlying optimizer (checkpoints serialize its state).
   Adam& optimizer() { return adam_; }
 
  private:

@@ -29,12 +29,17 @@ inline util::Pcg32 task_rng(std::uint64_t seed, std::uint64_t task_index) {
   return util::Pcg32(seed).fork(task_index);
 }
 
+/// Threads that execute a parallel construct on `pool`: its workers plus
+/// the calling thread (1 for a null pool).
+inline std::size_t num_workers(const ThreadPool* pool) {
+  return pool != nullptr ? static_cast<std::size_t>(pool->num_threads()) + 1
+                         : 1;
+}
+
 /// A grain that aims for ~4 chunks per worker (cheap bodies should pass
 /// an explicit, larger grain).
 inline std::size_t default_grain(std::size_t n, const ThreadPool* pool) {
-  const std::size_t workers =
-      pool != nullptr ? static_cast<std::size_t>(pool->num_threads()) + 1 : 1;
-  return std::max<std::size_t>(1, n / (4 * workers));
+  return std::max<std::size_t>(1, n / (4 * num_workers(pool)));
 }
 
 /// Apply `fn(i)` for every i in [begin, end). Serial when `pool` is null.

@@ -23,17 +23,6 @@ ServeStats ServeLoop::stats() const {
   return stats_;
 }
 
-void ServeLoop::prepare_dataset(attack::QueryDataset& dataset) {
-  util::MutexLock lock(prep_mutex_);
-  for (attack::QueryDataset* d : prepared_) {
-    if (d == &dataset) return;
-  }
-  // Prebuild makes the image cache immutable, so concurrent submits can
-  // assemble inputs from this dataset (read-only).
-  dataset.prebuild_images();
-  prepared_.push_back(&dataset);
-}
-
 void ServeLoop::finish(long ServeStats::*outcome, bool forwarded) {
   bool idle = false;
   {
@@ -46,7 +35,7 @@ void ServeLoop::finish(long ServeStats::*outcome, bool forwarded) {
   if (idle) idle_.notify_all();
 }
 
-attack::Selection ServeLoop::submit(attack::QueryDataset& dataset,
+attack::Selection ServeLoop::submit(const attack::QueryDataset& dataset,
                                     std::size_t query) {
   {
     util::MutexLock lock(mutex_);
@@ -61,7 +50,6 @@ attack::Selection ServeLoop::submit(attack::QueryDataset& dataset,
   thread_local nn::QueryInput input;
   bool forwarded = false;
   try {
-    prepare_dataset(dataset);
     if (dataset.query(query).candidates.empty()) {
       // select_one answers these without touching the net: no lease.
       const attack::Selection out =

@@ -20,13 +20,11 @@
 // submit already accepted has finished. It may be called concurrently
 // with itself and with submits; the destructor calls it.
 //
-// Datasets are registered on first submit (linear scan — no pointer
-// ordering): their image caches are prebuilt there, because concurrent
-// callers may only read the cache.
+// Datasets are immutable once constructed (every image is rendered up
+// front), so concurrent submits read them with no registration step.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "attack/attack_result.hpp"
 #include "attack/dataset.hpp"
@@ -72,8 +70,8 @@ class ServeLoop {
   /// `lease_timeout_seconds`; every other exception (e.g. the net's
   /// std::invalid_argument for an input of the wrong shape) propagates
   /// with its original type.
-  attack::Selection submit(attack::QueryDataset& dataset, std::size_t query)
-      SMA_EXCLUDES(mutex_, prep_mutex_);
+  attack::Selection submit(const attack::QueryDataset& dataset,
+                           std::size_t query) SMA_EXCLUDES(mutex_);
 
   /// Reject new submits, then wait for every accepted submit to finish.
   /// Idempotent and safe to call concurrently; called by the destructor.
@@ -82,9 +80,6 @@ class ServeLoop {
   ServeStats stats() const SMA_EXCLUDES(mutex_);
 
  private:
-  /// First-submit registration: image prebuild.
-  void prepare_dataset(attack::QueryDataset& dataset)
-      SMA_EXCLUDES(prep_mutex_);
   /// Count an accepted submit's outcome and wake shutdown() when it was
   /// the last one in flight.
   void finish(long ServeStats::*outcome, bool forwarded)
@@ -98,12 +93,6 @@ class ServeLoop {
   bool closed_ SMA_GUARDED_BY(mutex_) = false;
   long in_flight_ SMA_GUARDED_BY(mutex_) = 0;
   ServeStats stats_ SMA_GUARDED_BY(mutex_);
-
-  util::Mutex prep_mutex_;
-  /// Datasets with prebuilt (hence immutable, concurrently readable)
-  /// image caches. A vector scanned linearly: iteration order never
-  /// matters and pointer-keyed containers are banned (lint).
-  std::vector<attack::QueryDataset*> prepared_ SMA_GUARDED_BY(prep_mutex_);
 };
 
 }  // namespace sma::serve

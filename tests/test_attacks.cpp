@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <map>
+#include <thread>
 
 #include "attack/dl_attack.hpp"
 #include "attack/flow_attack.hpp"
 #include "attack/proximity_attack.hpp"
+#include "runtime/thread_pool.hpp"
 #include "test_support.hpp"
 
 namespace sma::attack {
@@ -156,6 +158,56 @@ TEST_F(AttackTest, TrainingWithValidationTracksCcr) {
   DlAttack dl(net_config);
   TrainStats stats = dl.train(training, validation, train_config);
   EXPECT_EQ(stats.validation_ccr.size(), 2u);
+}
+
+void expect_same_selections(const AttackResult& got,
+                            const AttackResult& want) {
+  ASSERT_EQ(got.selections.size(), want.selections.size());
+  for (std::size_t i = 0; i < want.selections.size(); ++i) {
+    EXPECT_EQ(got.selections[i].sink_fragment,
+              want.selections[i].sink_fragment);
+    EXPECT_EQ(got.selections[i].chosen_source,
+              want.selections[i].chosen_source);
+    EXPECT_EQ(got.selections[i].correct, want.selections[i].correct);
+  }
+  EXPECT_EQ(got.ccr, want.ccr);
+}
+
+// Two threads attack one image dataset built without a pool, at the same
+// time, with and without a pool. The dataset is read-only once built and
+// every attack() runs leased replicas, so the calls share nothing mutable
+// (the TSan leg runs this) and both answers equal a serial attack().
+TEST(DlAttack, ConcurrentAttacksShareOneDataset) {
+  DatasetConfig dataset_config;
+  dataset_config.candidates.max_candidates = 8;
+  dataset_config.images.size = 9;
+  dataset_config.images.pixel_sizes = {200, 400};
+  const test::SmallSplit& split = test::shared_split(3, 400, 13);
+  QueryDataset dataset(split.split.get(), dataset_config);
+
+  nn::NetConfig net_config;
+  net_config.hidden = 16;
+  net_config.vector_res_blocks = 1;
+  net_config.merged_res_blocks = 1;
+  net_config.image_channels = 2;
+  net_config.conv_channels = {4, 6, 8, 10};
+  net_config.image_fc = 16;
+  net_config.fc6_width = 8;
+  DlAttack dl(net_config);
+
+  runtime::ThreadPool pool(2);
+  for (runtime::ThreadPool* p : {&pool, static_cast<runtime::ThreadPool*>(
+                                            nullptr)}) {
+    AttackResult results[2];
+    std::thread a([&] { results[0] = dl.attack(dataset, p); });
+    std::thread b([&] { results[1] = dl.attack(dataset, p); });
+    a.join();
+    b.join();
+    const AttackResult serial = dl.attack(dataset);
+    ASSERT_GT(serial.selections.size(), 0u);
+    expect_same_selections(results[0], serial);
+    expect_same_selections(results[1], serial);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "obs/metrics.hpp"
+
 #include "test_support.hpp"
 
 namespace sma::attack {
@@ -45,15 +49,28 @@ TEST_F(DatasetTest, VectorOnlyLeavesImagesEmpty) {
 
 TEST_F(DatasetTest, ImageCachingSharesVirtualPins) {
   QueryDataset dataset(s_->split.get(), small_config());
-  std::size_t queries = std::min<std::size_t>(10, dataset.num_queries());
+  // Construction renders one image per distinct referenced virtual pin.
+  std::set<int> pins;
   std::size_t total_images = 0;
-  for (std::size_t i = 0; i < queries; ++i) {
-    total_images += dataset.query(i).candidates.size() + 1;
-    dataset.input(i);
+  for (std::size_t i = 0; i < dataset.num_queries(); ++i) {
+    const split::SinkQuery& query = dataset.query(i);
+    if (query.candidates.empty()) continue;
+    total_images += query.candidates.size() + 1;
+    for (const split::Vpp& vpp : query.candidates) pins.insert(vpp.source_vp);
+    pins.insert(s_->split->fragment(query.sink_fragment).virtual_pins.front());
   }
+  EXPECT_EQ(dataset.cached_images(), pins.size());
   // Cache must be smaller than the naive count (pins are shared).
   EXPECT_LT(dataset.cached_images(), total_images);
   EXPECT_GT(dataset.cached_images(), 0u);
+
+  // Assembling every input afterwards renders nothing.
+  obs::Counter& rendered =
+      obs::Registry::global().counter("dataset.images_rendered");
+  const std::uint64_t rendered_before = rendered.value();
+  for (std::size_t i = 0; i < dataset.num_queries(); ++i) dataset.input(i);
+  EXPECT_EQ(rendered.value(), rendered_before);
+  EXPECT_EQ(dataset.cached_images(), pins.size());
 }
 
 TEST_F(DatasetTest, TargetsMatchQueries) {

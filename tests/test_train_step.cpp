@@ -144,19 +144,25 @@ TEST(TrainStep, NegativeActiveLanesThrows) {
   // A negative count is a caller bug (a miscomputed partial batch), not a
   // "no lanes active" request — silently clamping it to 0 would run a
   // spurious Adam step on zero gradients and advance the step counter.
+  // Likewise a count above the attached lanes: clamping it would step on
+  // a smaller batch than the caller computed.
   const std::vector<std::vector<int>> shapes = {{3, 3}};
   util::Pcg32 init(11);
   ParamBank master(shapes, init);
   TrainStep engine(master.params(), {});
   // Throws with no lanes attached...
   EXPECT_THROW(engine.step(-1, nullptr), std::invalid_argument);
-  // ...and with lanes attached (where the old code clamped).
+  EXPECT_THROW(engine.step(1, nullptr), std::invalid_argument);
+  // ...and with lanes attached.
   util::Pcg32 lane_init(12);
   ParamBank lane(shapes, lane_init);
   engine.attach_lanes({lane.params()});
   EXPECT_THROW(engine.step(-3, nullptr), std::invalid_argument);
-  // Zero stays valid: it means "no active lanes this step".
+  EXPECT_THROW(engine.step(2, nullptr), std::invalid_argument);
+  // Zero stays valid: it means "no active lanes this step"; so does the
+  // attached count.
   EXPECT_NO_THROW(engine.step(0, nullptr));
+  EXPECT_NO_THROW(engine.step(1, nullptr));
 }
 
 TEST(TrainStep, NoLanesDegradesToAdamStep) {
@@ -291,7 +297,7 @@ TEST(GoldenDigest, TinyVectorTrainingModelBytes) {
     EXPECT_EQ(digest_of(serial), golden.digest)
         << "lanes " << golden.lanes << ": got 0x"
         << std::hex << digest_of(serial);
-    // Single pinned replica (serial) == multi-lane replicas (pooled).
+    // The same lane loop run inline (serial) and on 4 threads.
     runtime::ThreadPool pool(4);
     EXPECT_EQ(serial,
               train_model_bytes(prepared, golden.lanes, &pool))
