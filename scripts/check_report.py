@@ -8,7 +8,7 @@ Four checks, combinable in one invocation (CI runs all of them):
                     of complete ("X") events with the keys Perfetto /
                     chrome://tracing need. By default the trace must be
                     non-empty (a traced run that recorded zero spans means
-                    the instrumentation is broken); --allow-empty relaxes.
+                    the instrumentation is broken).
 
   --report FILE     FILE is a unified run report of schema
                     sma-run-report-v1 (see src/obs/report.hpp).
@@ -28,7 +28,7 @@ import sys
 SCHEMA = "sma-run-report-v1"
 
 TRACE_EVENT_KEYS = ("name", "cat", "ph", "ts", "dur", "pid", "tid")
-RUN_KEYS = ("name", "threads", "obs_compiled", "tracing")
+RUN_KEYS = ("name", "threads", "tracing")
 FLOW_ROW_KEYS = (
     "design",
     "global_place_seconds",
@@ -76,14 +76,13 @@ SPLIT_CACHE_KEYS = (
     "disk_dir",
 )
 DURABILITY_KEYS = (
-    "fault_compiled",
     "faults_injected",
     "checkpoint_saves",
     "checkpoint_resumes",
     "checkpoint_corrupt_discards",
 )
 KERNEL_KEYS = ("isa", "blocked_calls", "pack_bytes")
-METRICS_KEYS = ("counters", "gauges", "histograms")
+METRICS_KEYS = ("counters", "histograms")
 HISTOGRAM_KEYS = ("count", "sum", "buckets")
 
 
@@ -107,7 +106,7 @@ def require_keys(path, obj, keys, context):
             fail(path, f"{context} is missing key {key!r}")
 
 
-def check_trace(path, allow_empty):
+def check_trace(path):
     trace = load_json(path)
     if not isinstance(trace, dict):
         fail(path, "trace root must be a JSON object")
@@ -116,9 +115,8 @@ def check_trace(path, allow_empty):
     events = trace["traceEvents"]
     if not isinstance(events, list):
         fail(path, "'traceEvents' must be a list")
-    if not events and not allow_empty:
-        fail(path, "trace recorded zero events (tracing not enabled, or "
-                   "instrumentation compiled out?)")
+    if not events:
+        fail(path, "trace recorded zero events (tracing not enabled?)")
     for i, event in enumerate(events):
         if not isinstance(event, dict):
             fail(path, f"traceEvents[{i}] is not an object")
@@ -159,8 +157,6 @@ def check_report_object(path, report, context="report"):
                  f"{context}.split_cache")
     require_keys(path, report["durability"], DURABILITY_KEYS,
                  f"{context}.durability")
-    if not isinstance(report["durability"]["fault_compiled"], bool):
-        fail(path, f"{context}.durability.fault_compiled must be a boolean")
     require_keys(path, report["kernels"], KERNEL_KEYS, f"{context}.kernels")
     require_keys(path, report["metrics"], METRICS_KEYS, f"{context}.metrics")
     for name, hist in report["metrics"]["histograms"].items():
@@ -266,14 +262,12 @@ def main():
     parser.add_argument("--bench-gates", nargs="*", default=[],
                         help="BENCH_*.json artifacts that must parse and "
                              "pass their bench's gates")
-    parser.add_argument("--allow-empty", action="store_true",
-                        help="accept a trace with zero events")
     args = parser.parse_args()
     if not (args.trace or args.report or args.bench or args.bench_gates):
         parser.error("nothing to check: pass --trace, --report, --bench or "
                      "--bench-gates")
     if args.trace:
-        check_trace(args.trace, args.allow_empty)
+        check_trace(args.trace)
     if args.report:
         check_report(args.report)
     for path in args.bench:

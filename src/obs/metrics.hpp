@@ -1,18 +1,17 @@
-// Metrics registry: named counters, gauges and fixed-bucket histograms.
+// Metrics registry: named counters and fixed-bucket histograms.
 //
 // Instruments register by name on first use (the SMA_COUNT /
-// SMA_HISTOGRAM_US macros in obs/obs.hpp hide a function-local static
-// lookup, so the steady-state cost of a counter bump is one relaxed
-// atomic add). Updates are wait-free; names registered once keep stable
-// addresses for the registry's lifetime.
+// SMA_HISTOGRAM macros in obs/obs.hpp hide a function-local static
+// lookup). Counters sit on hot paths (one bump per GEMM call), so a bump
+// touches only the calling thread's own cache line (see Counter). Names
+// registered once keep stable addresses for the registry's lifetime.
 //
 // Determinism of reports: registration *time* depends on which code path
 // runs first (and, under a pool, on scheduling), so aggregation walks the
 // metrics in a fixed order — lexicographic by name — which is the same in
 // every run regardless of which thread touched a metric first. Metric
 // values feed reports only; they never feed an algorithm or a cache
-// digest, so instrumented and uninstrumented runs produce byte-identical
-// models, tables and layouts.
+// digest, so models, tables and layouts do not depend on them.
 #pragma once
 
 #include <array>
@@ -23,37 +22,57 @@
 #include <string>
 #include <vector>
 
+#include "util/logging.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace sma::obs {
 
-/// Monotonic u64 counter.
+/// Monotonic u64 counter with single-writer cells. The thread with
+/// util::thread_ordinal() t < kOwnedCells owns cells_[t] and is its only
+/// writer, so `add` is a relaxed load and store with no locked RMW.
+/// Ordinals are never reused, so a cell keeps its count after its thread
+/// exits. Threads past the bound share one overflow cell via fetch_add,
+/// which keeps counts exact in processes that create many threads. About
+/// 4 KB per counter.
 class Counter {
  public:
+  static constexpr int kOwnedCells = 64;
+
   void add(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    const int t = util::thread_ordinal();
+    if (t < kOwnedCells) {
+      std::atomic<std::uint64_t>& v = cells_[t].value;
+      v.store(v.load(std::memory_order_relaxed) + n,
+              std::memory_order_relaxed);
+    } else {
+      overflow_.value.fetch_add(n, std::memory_order_relaxed);
+    }
   }
+
+  /// Sum of every cell. Integer addition is order-free, so the total does
+  /// not depend on which thread landed in which cell.
   std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t total = overflow_.value.load(std::memory_order_relaxed);
+    for (const Cell& c : cells_) {
+      total += c.value.load(std::memory_order_relaxed);
+    }
+    return total;
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+
+  /// Zero every cell. Valid only at quiescent points: an owner's add
+  /// racing a reset can write back its pre-reset value.
+  void reset() {
+    for (Cell& c : cells_) c.value.store(0, std::memory_order_relaxed);
+    overflow_.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-write-wins signed gauge.
-class Gauge {
- public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::array<Cell, kOwnedCells> cells_{};
+  Cell overflow_;
 };
 
 /// Fixed-bucket latency histogram. Bucket b counts observations in
@@ -112,10 +131,10 @@ class Registry {
   /// Find-or-create. The returned reference is valid for the registry's
   /// lifetime; repeated calls with one name return the same object.
   Counter& counter(const std::string& name) SMA_EXCLUDES(mutex_);
-  Gauge& gauge(const std::string& name) SMA_EXCLUDES(mutex_);
   Histogram& histogram(const std::string& name) SMA_EXCLUDES(mutex_);
 
   /// Zero every metric (run-scoped reports; registrations are kept).
+  /// Quiescent points only (see Counter::reset).
   void reset() SMA_EXCLUDES(mutex_);
 
   /// Point-in-time copy, names in lexicographic order (see file comment).
@@ -127,19 +146,15 @@ class Registry {
   };
   struct Snapshot {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::pair<std::string, std::int64_t>> gauges;
     std::vector<HistogramSnapshot> histograms;
   };
   Snapshot snapshot() const SMA_EXCLUDES(mutex_);
 
  private:
   /// Guards the maps, not the metric values (those are atomics updated
-  /// lock-free through the references counter()/gauge()/histogram()
-  /// hand out).
+  /// lock-free through the references counter()/histogram() hand out).
   mutable util::Mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_
-      SMA_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_
       SMA_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       SMA_GUARDED_BY(mutex_);

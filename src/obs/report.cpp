@@ -10,7 +10,6 @@
 #include "util/fault.hpp"
 #include "nn/gemm.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "serve/serve_loop.hpp"
 
@@ -108,7 +107,6 @@ std::string RunReport::to_json() const {
   os << ", \"run\": {\"name\": ";
   append_json_string(os, name_);
   os << ", \"threads\": " << threads_
-     << ", \"obs_compiled\": " << (compiled() ? "true" : "false")
      << ", \"tracing\": " << (tracing_enabled() ? "true" : "false") << "}";
 
   os << ", \"flow\": [";
@@ -183,12 +181,10 @@ std::string RunReport::to_json() const {
   os << "}";
 
   // Durability: the crash-safety machinery's process-wide counters —
-  // whether fault injection is compiled in and how often it fired, plus
-  // the checkpoint lifecycle (PR 7).
+  // how often fault injection fired, plus the checkpoint lifecycle.
   const attack::CheckpointStats ckpt = attack::checkpoint_stats();
-  os << ", \"durability\": {\"fault_compiled\": "
-     << (util::fault::compiled() ? "true" : "false")
-     << ", \"faults_injected\": " << util::fault::injected_count()
+  os << ", \"durability\": {\"faults_injected\": "
+     << util::fault::injected_count()
      << ", \"checkpoint_saves\": " << ckpt.saves
      << ", \"checkpoint_resumes\": " << ckpt.resumes
      << ", \"checkpoint_corrupt_discards\": " << ckpt.corrupt_discards << "}";
@@ -205,12 +201,6 @@ std::string RunReport::to_json() const {
     if (i > 0) os << ", ";
     append_json_string(os, snap.counters[i].first);
     os << ": " << snap.counters[i].second;
-  }
-  os << "}, \"gauges\": {";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    if (i > 0) os << ", ";
-    append_json_string(os, snap.gauges[i].first);
-    os << ": " << snap.gauges[i].second;
   }
   os << "}, \"histograms\": {";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {

@@ -1,14 +1,11 @@
 #include "obs/trace.hpp"
 
-#include "obs/obs.hpp"
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <ostream>
 #include <sstream>
-#include <unordered_set>
 
 #include "util/logging.hpp"
 #include "util/mutex.hpp"
@@ -47,9 +44,6 @@ struct Tracer {
   /// approximated by summing per-buffer overflow at collect time.
   util::Mutex mutex;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers SMA_GUARDED_BY(mutex);
-  /// Lookup/insert only — iteration order never escapes, so the set
-  /// being unordered cannot leak into any output.
-  std::unordered_set<std::string> interned SMA_GUARDED_BY(mutex);
 };
 
 Tracer& tracer() {
@@ -191,18 +185,12 @@ std::string chrome_trace_json() {
   return out.str();
 }
 
-const char* intern(const std::string& s) {
-  Tracer& t = tracer();
-  util::MutexLock lock(t.mutex);
-  return t.interned.insert(s).first->c_str();
-}
-
 double TimedSpan::stop() {
   if (stopped_us_ < 0.0) {
     stopped_us_ = now_us();
     // The measurement always happens (callers feed Design::timings); only
-    // the trace record honours the compile-time kill switch.
-    if (compiled() && tracing_enabled()) {
+    // the trace record honours the runtime switch.
+    if (tracing_enabled()) {
       record_span(cat_, name_, start_us_, stopped_us_ - start_us_, arg_);
     }
   }

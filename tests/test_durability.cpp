@@ -141,12 +141,11 @@ TEST_F(DurabilityTest, EnsureDirCreatesNestedDirectories) {
 // ---------------------------------------------------------------------
 
 TEST_F(DurabilityTest, FaultFiresOnNthHitAndIsOneShot) {
-  if (!fault::compiled()) GTEST_SKIP() << "built with -DSMA_FAULT=OFF";
   const std::string dir = test_dir();
   const std::string path = dir + "/f.bin";
   util::atomic_write_file(path, "ok");
 
-  ASSERT_TRUE(fault::arm("durable.read", fault::Action::kFail, /*nth=*/2));
+  fault::arm("durable.read", fault::Action::kFail, /*nth=*/2);
   EXPECT_EQ(util::read_file(path), "ok");                    // hit 1: inert
   EXPECT_THROW(util::read_file(path), fault::FaultInjected);  // hit 2: fires
   EXPECT_EQ(util::read_file(path), "ok");  // one-shot: disarmed after firing
@@ -157,7 +156,6 @@ TEST_F(DurabilityTest, FaultFiresOnNthHitAndIsOneShot) {
 }
 
 TEST_F(DurabilityTest, ArmFromEnvParsesSpecsAndRejectsMalformedOnes) {
-  if (!fault::compiled()) GTEST_SKIP() << "built with -DSMA_FAULT=OFF";
   const std::string dir = test_dir();
   const std::string path = dir + "/f.bin";
   util::atomic_write_file(path, "ok");
@@ -175,7 +173,6 @@ TEST_F(DurabilityTest, ArmFromEnvParsesSpecsAndRejectsMalformedOnes) {
 }
 
 TEST_F(DurabilityTest, AtomicReplaceSurvivesKillAtEveryIoPoint) {
-  if (!fault::compiled()) GTEST_SKIP() << "built with -DSMA_FAULT=OFF";
   const std::string dir = test_dir();
   const std::string path = dir + "/frame.sma";
   util::write_frame_file(path, "kill-test", 1, "OLD");
@@ -193,7 +190,7 @@ TEST_F(DurabilityTest, AtomicReplaceSurvivesKillAtEveryIoPoint) {
   };
   for (const Point& p : points) {
     fault::disarm_all();
-    ASSERT_TRUE(fault::arm(p.name, p.mode));
+    fault::arm(p.name, p.mode);
     EXPECT_THROW(util::write_frame_file(path, "kill-test", 1, "NEW"),
                  fault::FaultInjected)
         << p.name;
@@ -208,14 +205,13 @@ TEST_F(DurabilityTest, AtomicReplaceSurvivesKillAtEveryIoPoint) {
 }
 
 TEST_F(DurabilityTest, SilentCorruptionIsDetectedAtLoad) {
-  if (!fault::compiled()) GTEST_SKIP() << "built with -DSMA_FAULT=OFF";
   const std::string dir = test_dir();
   const std::string path = dir + "/frame.sma";
 
   // corrupt mode completes the write normally (no crash to observe) but
   // flips a byte — the non-atomic-filesystem / bit-rot case. The frame
   // checksum must catch it at load.
-  ASSERT_TRUE(fault::arm("durable.write", fault::Action::kCorrupt));
+  fault::arm("durable.write", fault::Action::kCorrupt);
   util::write_frame_file(path, "kill-test", 1, "payload bytes");
   EXPECT_THROW(util::read_frame_file(path, "kill-test", 1), util::FrameError);
 }
@@ -382,7 +378,6 @@ TEST_F(CheckpointTrainTest, ResumeIsByteIdenticalAcrossThreadsAndLanes) {
 }
 
 TEST_F(CheckpointTrainTest, KillDuringSaveLeavesPreviousCheckpointValid) {
-  if (!fault::compiled()) GTEST_SKIP() << "built with -DSMA_FAULT=OFF";
   const std::string dir = test_dir();
   const std::string ref = train_model(6, 2, 1, "", 0);
 
@@ -409,7 +404,7 @@ TEST_F(CheckpointTrainTest, KillDuringSaveLeavesPreviousCheckpointValid) {
   for (const Kill& kill : kills) {
     const std::string path = dir + "/ckpt_" + std::to_string(i++) + ".sma";
     fault::disarm_all();
-    ASSERT_TRUE(fault::arm(kill.point, kill.mode, kill.nth));
+    fault::arm(kill.point, kill.mode, kill.nth);
     EXPECT_THROW(train_model(6, 2, 1, path, /*checkpoint_every=*/2),
                  fault::FaultInjected)
         << kill.point;
@@ -583,16 +578,14 @@ TEST_F(DurabilityTest, SpillFailureDegradesToMemoryOnly) {
 
   // A simulated crash AT the spill point is a different story: it must
   // crash the caller, never degrade to "continue without spilling".
-  if (fault::compiled()) {
-    ASSERT_TRUE(fault::arm("cache.spill", fault::Action::kFail));
-    EXPECT_THROW(cache.get_or_build(0x4444ULL,
-                                    [] {
-                                      return std::make_shared<
-                                          const layout::Design>(
-                                          test::small_routed_design(60, 3));
-                                    }),
-                 fault::FaultInjected);
-  }
+  fault::arm("cache.spill", fault::Action::kFail);
+  EXPECT_THROW(cache.get_or_build(0x4444ULL,
+                                  [] {
+                                    return std::make_shared<
+                                        const layout::Design>(
+                                        test::small_routed_design(60, 3));
+                                  }),
+               fault::FaultInjected);
 }
 
 // ---------------------------------------------------------------------
