@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
                             "hit%(n=31)", "hit%(no-dir)", "hit%(n=8)"});
     for (const auto& profile : sma::netlist::attack_profiles()) {
       if (profile.num_gates > max_gates) continue;
-      sma::eval::PreparedSplit prepared = sma::eval::prepare_split(
-          profile, layer, sma::layout::FlowConfig{}, 2019);
+      sma::eval::PreparedSplit prepared =
+          sma::eval::prepare_split(profile, layer, 2019);
       const sma::split::SplitDesign& split = *prepared.split;
       sma::split::SplitStats stats = split.stats();
 

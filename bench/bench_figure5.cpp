@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
   std::cout << "Figure 5: ablation of loss function and image features "
                "(split after Metal 3)\n\n";
   std::vector<sma::eval::AblationRow> rows =
-      sma::eval::run_figure5(profile, sma::layout::FlowConfig{}, designs,
-                             /*seed=*/2019);
+      sma::eval::run_figure5(profile, designs, /*seed=*/2019);
 
   sma::util::Table table(
       {"Setting", "Avg CCR (%)", "CCR vs two-class", "Avg inference (s)"});

@@ -1,17 +1,12 @@
-// Cache-cold physical-design-flow bench: per-phase timings and the wave
-// router's determinism + quality contract (the tentpole measurement for
+// Cache-cold physical-design-flow bench: per-phase timings, layout
+// quality and the flow's determinism contract (the measurement for
 // intra-flow parallelism).
 //
-// For every requested design the bench runs:
-//   1. the legacy strictly-sequential flow (wave_size = 1, relax_lanes =
-//      1) — the quality baseline the wave schedule replaced, and
-//   2. the wave-scheduled flow at each requested thread count, verifying
-//      that every count produces a byte-identical layout (DEF string) and
-//      reporting global-place / legalize / detailed-place / route /
-//      negotiation seconds per run.
-// Quality deltas (wirelength, vias, final overflow, fallbacks) between
-// the wave schedule and the legacy schedule go into the JSON — the wave
-// router is a deliberate algorithm change and its cost must stay visible.
+// For every requested design the bench runs the flow at each requested
+// thread count, verifies that every count produces a byte-identical
+// layout (DEF string), and reports global-place / legalize /
+// detailed-place / route / negotiation seconds per run plus the layout's
+// wirelength, vias, final overflow and fallback routes.
 //
 // Human-readable progress goes to stderr; stdout carries exactly one JSON
 // object (scripts/bench.sh redirects it to BENCH_flow.json). Exit status
@@ -20,7 +15,6 @@
 // Flags:
 //   --threads=1,2,4    thread counts to sweep (1 always measured first)
 //   --designs=c432,... design profiles (default: two small/mid designs)
-//   --wave=N           wave_size for the wave runs (default: RouterConfig)
 //   --seed=2019        flow seed
 //   --smoke            minimal sweep (c432, threads 1,2) for CI
 #include <algorithm>
@@ -33,7 +27,6 @@
 #include "layout/def_io.hpp"
 #include "layout/design.hpp"
 #include "netlist/profiles.hpp"
-#include "route/router.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tech/cell_library.hpp"
 #include "util/logging.hpp"
@@ -57,19 +50,20 @@ struct FlowRun {
 };
 
 FlowRun run_flow_once(const sma::netlist::DesignProfile& profile,
-                      const sma::layout::FlowConfig& flow, int threads,
+                      std::uint64_t seed, int threads,
                       sma::obs::RunReport* report = nullptr) {
   static const sma::tech::CellLibrary kLibrary =
       sma::tech::CellLibrary::nangate45_like();
   sma::netlist::Netlist nl =
-      sma::netlist::build_profile(profile, &kLibrary, flow.seed);
+      sma::netlist::build_profile(profile, &kLibrary, seed);
   sma::runtime::Config runtime_config;
   runtime_config.threads = threads;
   std::unique_ptr<sma::runtime::ThreadPool> pool = runtime_config.make_pool();
 
   sma::util::Timer timer;
   sma::layout::Design design =
-      sma::layout::run_flow(std::move(nl), flow, pool.get());
+      sma::layout::run_flow(std::move(nl), sma::layout::FlowConfig{seed},
+                            pool.get());
   if (report != nullptr) report->add_flow(profile.name, design);
   FlowRun run;
   run.threads = threads;
@@ -114,7 +108,6 @@ int main(int argc, char** argv) {
 
   std::vector<int> threads = {1, 2, 4};
   std::vector<std::string> design_names = {"c432", "b13"};
-  int wave_size = sma::route::RouterConfig{}.wave_size;
   std::uint64_t seed = 2019;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
@@ -130,8 +123,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--designs=", 0) == 0) {
       design_names = split_list(arg.substr(10));
-    } else if (arg.rfind("--wave=", 0) == 0) {
-      wave_size = parse_int(arg.substr(7), "--wave", 1);
     } else if (arg.rfind("--seed=", 0) == 0) {
       seed = static_cast<std::uint64_t>(
           parse_int(arg.substr(7), "--seed", 0));
@@ -173,20 +164,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  sma::layout::FlowConfig wave_flow;
-  wave_flow.seed = seed;
-  wave_flow.router.wave_size = wave_size;
-  // The quality baseline: the pre-wave strictly-sequential flow
-  // (single-net "waves" with bulk offender rip-up, single-lane relax).
-  sma::layout::FlowConfig legacy_flow = wave_flow;
-  legacy_flow.router.wave_size = 1;
-  legacy_flow.router.bulk_negotiation_ripup = true;
-  legacy_flow.global_placer.relax_lanes = 1;
-
-  std::cerr << "bench_flow: " << designs.size() << " designs, wave_size "
-            << wave_size << ", relax_lanes "
-            << wave_flow.global_placer.relax_lanes << ", host concurrency "
-            << host_concurrency << (smoke ? ", smoke" : "") << "\n";
+  std::cerr << "bench_flow: " << designs.size()
+            << " designs, host concurrency " << host_concurrency
+            << (smoke ? ", smoke" : "") << "\n";
 
   bool deterministic = true;
   sma::obs::RunReport report("flow", threads.back());
@@ -197,16 +177,12 @@ int main(int argc, char** argv) {
 
   for (std::size_t d = 0; d < designs.size(); ++d) {
     const sma::netlist::DesignProfile& profile = designs[d];
-    std::cerr << profile.name << ": legacy sequential flow...\n";
-    FlowRun legacy = run_flow_once(profile, legacy_flow, 1);
-    std::cerr << "  legacy: " << legacy.seconds << "s, WL "
-              << legacy.wirelength << ", vias " << legacy.vias
-              << ", overflow " << legacy.overflow << "\n";
+    std::cerr << profile.name << ":\n";
 
     std::vector<FlowRun> runs;
     bool design_identical = true;
     for (int t : threads) {
-      FlowRun run = run_flow_once(profile, wave_flow, t,
+      FlowRun run = run_flow_once(profile, seed, t,
                                   runs.empty() ? &report : nullptr);
       if (!runs.empty()) {
         if (run.def != runs.front().def) {
@@ -218,7 +194,7 @@ int main(int argc, char** argv) {
         }
         run.def.clear();  // only the serial witness is ever compared against
       }
-      std::cerr << "  wave threads=" << t << ": " << run.seconds
+      std::cerr << "  threads=" << t << ": " << run.seconds
                 << "s (place " << run.timings.global_place_seconds
                 << "s, route " << run.timings.route_seconds
                 << "s, negotiation " << run.negotiation_seconds
@@ -241,41 +217,22 @@ int main(int argc, char** argv) {
       }
     }
 
-    const FlowRun& wave_serial = runs.front();
     body << (d ? ", " : "") << "{\"design\": \""
-         << json_escape(profile.name) << "\", \"legacy\": {";
-    append_quality_json(body, legacy);
-    body << "}, \"wave\": {\"wave_size\": " << wave_size
-         << ", \"relax_lanes\": " << wave_flow.global_placer.relax_lanes
-         << ", ";
-    append_quality_json(body, wave_serial);
+         << json_escape(profile.name) << "\", ";
+    append_quality_json(body, runs.front());
     body << ", \"identical_across_threads\": "
          << (design_identical ? "true" : "false") << ", \"runs\": [";
     for (std::size_t r = 0; r < runs.size(); ++r) {
       if (r) body << ", ";
       append_run_json(body, runs[r], baseline_seconds);
     }
-    body << "]}, \"delta_vs_legacy\": {\"wirelength_pct\": "
-         << (legacy.wirelength > 0
-                 ? 100.0 * (wave_serial.wirelength - legacy.wirelength) /
-                       static_cast<double>(legacy.wirelength)
-                 : 0.0)
-         << ", \"vias_pct\": "
-         << (legacy.vias > 0 ? 100.0 * (wave_serial.vias - legacy.vias) /
-                                   static_cast<double>(legacy.vias)
-                             : 0.0)
-         << ", \"overflow\": " << wave_serial.overflow - legacy.overflow
-         << ", \"fallbacks\": " << wave_serial.fallbacks - legacy.fallbacks
-         << ", \"serial_seconds_ratio\": "
-         << (legacy.seconds > 0.0 ? wave_serial.seconds / legacy.seconds
-                                  : 0.0)
-         << "}}";
+    body << "]}";
   }
 
   std::ostringstream json;
   json << "{\"bench\": \"flow\", \"seed\": " << seed
-       << ", \"wave_size\": " << wave_size << ", \"host_concurrency\": "
-       << host_concurrency << ", \"skipped_threads\": [";
+       << ", \"host_concurrency\": " << host_concurrency
+       << ", \"skipped_threads\": [";
   for (std::size_t i = 0; i < skipped.size(); ++i) {
     json << (i ? ", " : "") << skipped[i];
   }

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   for (const std::string& name : designs) {
     // Build the layout once; splitting is cheap.
     sma::eval::PreparedSplit base = sma::eval::prepare_split(
-        sma::netlist::find_profile(name), 1, sma::layout::FlowConfig{}, 2019);
+        sma::netlist::find_profile(name), 1, 2019);
 
     sma::util::Table table({"Layer", "#Sk", "#Sc", "#VP", "hit%(n=31)",
                             "prox CCR%", "flow CCR%"});

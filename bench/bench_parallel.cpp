@@ -164,8 +164,7 @@ int main(int argc, char** argv) {
     variant.runtime.threads = threads[i];
     sma::util::Timer timer;
     Table3Result result =
-        sma::eval::run_table3(layer, variant, sma::layout::FlowConfig{},
-                              designs, /*seed=*/2019);
+        sma::eval::run_table3(layer, variant, designs, /*seed=*/2019);
     Run run;
     run.threads = threads[i];
     run.seconds = timer.seconds();

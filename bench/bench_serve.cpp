@@ -126,8 +126,7 @@ int main(int argc, char** argv) {
     tiny.num_inputs = 8;
     tiny.num_outputs = 4;
     tiny.num_gates = 420;
-    prepared = sma::eval::prepare_split(tiny, 3, sma::layout::FlowConfig{},
-                                        /*seed=*/2019);
+    prepared = sma::eval::prepare_split(tiny, 3, /*seed=*/2019);
     layer = 3;
     epochs = std::min(epochs, 2);
     reps = std::min(reps, 2);
@@ -145,8 +144,7 @@ int main(int argc, char** argv) {
               << ")...\n";
     try {
       prepared = sma::eval::prepare_split(sma::netlist::find_profile(design),
-                                          layer, sma::layout::FlowConfig{},
-                                          /*seed=*/2019);
+                                          layer, /*seed=*/2019);
     } catch (const std::invalid_argument& e) {
       std::cerr << e.what() << "\n";
       return 2;

@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
 
   for (int layer : layers) {
     Table3Result result =
-        sma::eval::run_table3(layer, profile, sma::layout::FlowConfig{},
-                              designs, /*seed=*/2019);
+        sma::eval::run_table3(layer, profile, designs, /*seed=*/2019);
 
     std::cout << "=== Split after Metal " << layer << " ===\n";
     std::cout << "(training took " << format_double(result.train_seconds, 1)

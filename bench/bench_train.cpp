@@ -121,8 +121,7 @@ int main(int argc, char** argv) {
     tiny.num_inputs = 8;
     tiny.num_outputs = 4;
     tiny.num_gates = 280;
-    prepared = sma::eval::prepare_split(tiny, 3, sma::layout::FlowConfig{},
-                                        /*seed=*/2019);
+    prepared = sma::eval::prepare_split(tiny, 3, /*seed=*/2019);
     profile.net.use_images = false;
     profile.net.hidden = 16;
     profile.net.vector_res_blocks = 1;
@@ -133,8 +132,7 @@ int main(int argc, char** argv) {
               << ")...\n";
     try {
       prepared = sma::eval::prepare_split(sma::netlist::find_profile(design),
-                                          layer, sma::layout::FlowConfig{},
-                                          /*seed=*/2019);
+                                          layer, /*seed=*/2019);
     } catch (const std::invalid_argument& e) {
       std::cerr << e.what() << "\n";
       return 2;

@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   int used = 0;
   for (const auto& p : sma::netlist::training_profiles()) {
     if (++used > 4) break;  // example-sized corpus
-    prepared_store.push_back(sma::eval::prepare_split(
-        p, split_layer, sma::layout::FlowConfig{}, 11 + used));
+    prepared_store.push_back(
+        sma::eval::prepare_split(p, split_layer, 11 + used));
     training.emplace_back(prepared_store.back().split.get(),
                           profile.dataset);
   }
@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
   dl.train(training, validation, profile.train, pool);
 
   // Victim.
-  sma::eval::PreparedSplit victim = sma::eval::prepare_split(
-      victim_profile, split_layer, sma::layout::FlowConfig{}, 2019);
+  sma::eval::PreparedSplit victim =
+      sma::eval::prepare_split(victim_profile, split_layer, 2019);
   sma::split::SplitStats stats = victim.split->stats();
   std::cout << "\n"
             << design_name << " split after M" << split_layer << ": "

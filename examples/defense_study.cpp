@@ -82,8 +82,7 @@ int main() {
   int used = 0;
   for (const auto& p : netlist::training_profiles()) {
     if (++used > 3) break;
-    store.push_back(eval::prepare_split(p, kSplitLayer,
-                                        layout::FlowConfig{}, 40 + used));
+    store.push_back(eval::prepare_split(p, kSplitLayer, 40 + used));
     training.emplace_back(store.back().split.get(), profile.dataset);
   }
   std::vector<attack::QueryDataset> validation;

@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   int used = 0;
   for (const auto& p : sma::netlist::training_profiles()) {
     if (++used > 3) break;
-    prepared_store.push_back(sma::eval::prepare_split(
-        p, split_layer, sma::layout::FlowConfig{}, 100 + used));
+    prepared_store.push_back(
+        sma::eval::prepare_split(p, split_layer, 100 + used));
     training.emplace_back(prepared_store.back().split.get(), profile.dataset);
   }
   std::vector<sma::attack::QueryDataset> validation;
@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
 
   // Verify identical behaviour on a fresh victim.
   sma::eval::PreparedSplit victim = sma::eval::prepare_split(
-      sma::netlist::find_profile("v_cht"), split_layer,
-      sma::layout::FlowConfig{}, 2020);
+      sma::netlist::find_profile("v_cht"), split_layer, 2020);
   sma::attack::QueryDataset d1(victim.split.get(), profile.dataset);
   sma::attack::QueryDataset d2(victim.split.get(), profile.dataset);
   double ccr1 = dl.attack(d1).ccr;

@@ -185,7 +185,7 @@ def check_bench(path):
 
 BENCH_TRAIN_KEYS = ("fused_steady_allocs", "fused_arena_bytes",
                     "fused_steady_allocs_per_query")
-BENCH_FLOW_KEYS = ("designs", "summary", "deterministic", "wave_size")
+BENCH_FLOW_KEYS = ("designs", "summary", "deterministic")
 BENCH_FLOW_RUN_KEYS = ("threads", "seconds", "global_place_seconds",
                        "route_seconds", "negotiation_seconds")
 BENCH_SERVE_KEYS = ("clients", "attack", "identity_ok", "alloc_free",
@@ -214,14 +214,12 @@ def gate_flow(path, flow):
     if not flow["designs"]:
         fail(path, "no designs measured")
     for design in flow["designs"]:
-        require_keys(path, design, ("legacy", "wave", "delta_vs_legacy"),
-                     "flow design")
-        if design["wave"]["identical_across_threads"] is not True:
-            fail(path, "non-identical wave layouts")
-        for run in design["wave"]["runs"]:
+        require_keys(path, design, ("identical_across_threads", "runs",
+                                    "overflow"), "flow design")
+        if design["identical_across_threads"] is not True:
+            fail(path, "non-identical layouts across thread counts")
+        for run in design["runs"]:
             require_keys(path, run, BENCH_FLOW_RUN_KEYS, "flow run")
-        require_keys(path, design["delta_vs_legacy"],
-                     ("wirelength_pct", "vias_pct", "overflow"), "flow delta")
 
 
 def gate_serve(path, serve):

@@ -1,5 +1,6 @@
 #include "eval/experiment.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -18,22 +19,18 @@
 namespace sma::eval {
 
 PreparedSplit prepare_split(const netlist::DesignProfile& profile,
-                            int split_layer, const layout::FlowConfig& flow,
-                            std::uint64_t seed, runtime::ThreadPool* pool) {
+                            int split_layer, std::uint64_t seed,
+                            runtime::ThreadPool* pool) {
   static const tech::CellLibrary kLibrary = tech::CellLibrary::nangate45_like();
 
   SMA_TRACE_SPAN("eval", "prepare_split");
   PreparedSplit prepared;
   prepared.name = profile.name;
-  // Key on the *effective* flow config (seed overrides FlowConfig::seed),
-  // so configs differing only in the overridden field share one entry.
-  layout::FlowConfig flow_config = flow;
-  flow_config.seed = seed;
   prepared.design = SplitCache::global().get_or_build(
-      design_cache_key(profile, flow_config, seed), [&] {
+      design_cache_key(profile, seed), [&] {
         netlist::Netlist nl = netlist::build_profile(profile, &kLibrary, seed);
         return std::make_shared<const layout::Design>(
-            layout::run_flow(std::move(nl), flow_config, pool));
+            layout::run_flow(std::move(nl), layout::FlowConfig{seed}, pool));
       });
   prepared.split = std::make_unique<split::SplitDesign>(prepared.design.get(),
                                                         split_layer, pool);
@@ -72,6 +69,18 @@ ExperimentProfile ExperimentProfile::paper() {
 
 namespace {
 
+/// Per-design seeds of the training corpus and of the victims, derived
+/// from the run's master seed.
+std::uint64_t corpus_seed(const netlist::DesignProfile& design,
+                          std::uint64_t seed) {
+  return seed ^ (design.num_gates * 31ull);
+}
+
+std::uint64_t victim_seed(const netlist::DesignProfile& design,
+                          std::uint64_t seed) {
+  return seed ^ 0x5151u ^ (design.num_gates * 131ull);
+}
+
 /// Build a dataset for one prepared design under `profile`.
 attack::QueryDataset make_dataset(const PreparedSplit& prepared,
                                   const ExperimentProfile& profile,
@@ -88,7 +97,6 @@ attack::QueryDataset make_dataset(const PreparedSplit& prepared,
 /// training itself parallelizes over gradient lanes (see DlAttack).
 attack::DlAttack train_attack(int split_layer,
                               const ExperimentProfile& profile,
-                              const layout::FlowConfig& flow,
                               std::uint64_t seed, double* train_seconds,
                               runtime::ThreadPool* pool) {
   util::Timer timer;
@@ -104,9 +112,8 @@ attack::DlAttack train_attack(int split_layer,
   std::vector<TrainingDesign> corpus = runtime::parallel_map(
       pool, profiles.size(), /*grain=*/1, [&](std::size_t i) {
         TrainingDesign design;
-        design.prepared =
-            prepare_split(profiles[i], split_layer, flow,
-                          seed ^ (profiles[i].num_gates * 31ull), pool);
+        design.prepared = prepare_split(
+            profiles[i], split_layer, corpus_seed(profiles[i], seed), pool);
         design.dataset = std::make_unique<attack::QueryDataset>(
             make_dataset(design.prepared, profile, true, pool));
         return design;
@@ -146,11 +153,10 @@ constexpr std::uint32_t kWorkSchemaVersion = 1;
 /// Fingerprint of everything that determines a run's results: the split
 /// layer, the master seed, every experiment knob that feeds the dataset,
 /// network, training schedule or flow attack, and — via the same digests
-/// the split cache keys on — the flow configuration and every design
-/// profile (training corpus and victims alike).
+/// the split cache keys on — every design's layout (training corpus and
+/// victims alike).
 std::uint64_t experiment_digest(const char* what, int split_layer,
                                 const ExperimentProfile& p,
-                                const layout::FlowConfig& flow,
                                 const std::vector<netlist::DesignProfile>& designs,
                                 std::uint64_t seed) {
   util::ContentHash h;
@@ -191,18 +197,12 @@ std::uint64_t experiment_digest(const char* what, int split_layer,
       .add(p.flow_attack.max_slots)
       .add(p.flow_attack.timeout_seconds);
 
-  const auto add_design = [&](const netlist::DesignProfile& d,
-                              std::uint64_t design_seed) {
-    layout::FlowConfig flow_config = flow;
-    flow_config.seed = design_seed;
-    h.add(design_cache_key(d, flow_config, design_seed));
-  };
   for (const netlist::DesignProfile& d : netlist::training_profiles()) {
-    add_design(d, seed ^ (d.num_gates * 31ull));
+    h.add(design_cache_key(d, corpus_seed(d, seed)));
   }
   h.add(designs.size());
   for (const netlist::DesignProfile& d : designs) {
-    add_design(d, seed ^ 0x5151u ^ (d.num_gates * 131ull));
+    h.add(design_cache_key(d, victim_seed(d, seed)));
   }
   return h.digest();
 }
@@ -347,6 +347,36 @@ std::optional<std::string> load_work_unit(const std::string& path) {
   }
 }
 
+/// Load the completed units of a run: slot s holds the decoded
+/// `<digest>_<s>` unit, or nothing when that unit is missing or damaged
+/// and must be recomputed.
+template <typename Row>
+std::vector<std::optional<Row>> load_work_units(
+    const std::string& dir, std::uint64_t digest, std::size_t slots,
+    Row (*decode)(const std::string&, std::uint64_t, std::size_t)) {
+  util::ensure_dir(dir);
+  std::vector<std::optional<Row>> units(slots);
+  for (std::size_t s = 0; s < slots; ++s) {
+    const std::optional<std::string> payload =
+        load_work_unit(work_unit_path(dir, digest, s));
+    if (!payload.has_value()) continue;
+    try {
+      units[s] = decode(*payload, digest, s);
+      SMA_COUNT("work.units_loaded");
+    } catch (const util::FrameError& e) {
+      util::log_warn() << "recomputing work unit " << s << ": " << e.what();
+    }
+  }
+  return units;
+}
+
+template <typename Row>
+bool all_loaded(const std::vector<std::optional<Row>>& units) {
+  return !units.empty() &&
+         std::all_of(units.begin(), units.end(),
+                     [](const std::optional<Row>& u) { return u.has_value(); });
+}
+
 /// Persist one unit; failure degrades to a warning (the run continues,
 /// the unit is simply recomputed next time).
 void save_work_unit(const std::string& path, const std::string& payload) {
@@ -367,10 +397,8 @@ void finalize_averages(Table3Result& result) {
   double flow_ccr = 0.0;
   double flow_secs = 0.0;
   double dl_ccr_on_flow_rows = 0.0;
-  double dl_ccr_all = 0.0;
   double dl_secs = 0.0;
   for (const Table3Row& row : result.rows) {
-    dl_ccr_all += row.dl_ccr;
     dl_secs += row.dl_seconds;
     if (!row.flow_timed_out) {
       ++flow_rows;
@@ -379,7 +407,6 @@ void finalize_averages(Table3Result& result) {
       dl_ccr_on_flow_rows += row.dl_ccr;
     }
   }
-  (void)dl_ccr_all;
   // Paper protocol: averages exclude designs where [1] timed out.
   result.avg_flow_ccr = flow_rows > 0 ? flow_ccr / flow_rows : std::nan("");
   result.avg_dl_ccr =
@@ -391,7 +418,6 @@ void finalize_averages(Table3Result& result) {
 }
 
 Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
-                        const layout::FlowConfig& flow,
                         const std::vector<netlist::DesignProfile>& designs,
                         std::uint64_t seed) {
   // Durable work units: completed rows from an earlier (killed) run are
@@ -399,33 +425,18 @@ Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
   // is skipped entirely.
   const bool use_work = !profile.work_dir.empty();
   std::uint64_t digest = 0;
-  std::vector<std::optional<Table3Row>> cached(designs.size());
+  std::vector<std::optional<Table3Row>> cached;
   if (use_work) {
-    util::ensure_dir(profile.work_dir);
-    digest = experiment_digest("table3", split_layer, profile, flow, designs,
-                               seed);
-    bool all_cached = !designs.empty();
-    for (std::size_t d = 0; d < designs.size(); ++d) {
-      const std::optional<std::string> payload =
-          load_work_unit(work_unit_path(profile.work_dir, digest, d));
-      if (payload.has_value()) {
-        try {
-          cached[d] = decode_t3_row(*payload, digest, d);
-          SMA_COUNT("work.units_loaded");
-        } catch (const util::FrameError& e) {
-          util::log_warn() << "recomputing work unit " << d << ": "
-                           << e.what();
-        }
-      }
-      if (!cached[d].has_value()) all_cached = false;
-    }
-    if (all_cached) {
+    digest = experiment_digest("table3", split_layer, profile, designs, seed);
+    cached = load_work_units(profile.work_dir, digest, designs.size(),
+                             decode_t3_row);
+    if (all_loaded(cached)) {
       util::log_info() << "table3 M" << split_layer << ": all "
                        << designs.size()
                        << " rows loaded from work units, skipping training";
       Table3Result result;
-      for (std::size_t d = 0; d < designs.size(); ++d) {
-        result.rows.push_back(std::move(*cached[d]));
+      for (std::optional<Table3Row>& row : cached) {
+        result.rows.push_back(std::move(*row));
       }
       finalize_averages(result);
       return result;
@@ -437,8 +448,8 @@ Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
   runtime::ThreadPool* pool = owned_pool.get();
 
   Table3Result result;
-  attack::DlAttack dl = train_attack(split_layer, profile, flow, seed,
-                                     &result.train_seconds, pool);
+  attack::DlAttack dl =
+      train_attack(split_layer, profile, seed, &result.train_seconds, pool);
   util::log_info() << "M" << split_layer << " model trained in "
                    << result.train_seconds << "s ("
                    << profile.runtime.resolved() << " threads)";
@@ -452,9 +463,9 @@ Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
       pool, designs.size(), /*grain=*/1, [&](std::size_t d) {
         if (use_work && cached[d].has_value()) return *cached[d];
         const netlist::DesignProfile& design_profile = designs[d];
-        PreparedSplit prepared = prepare_split(
-            design_profile, split_layer, flow,
-            seed ^ 0x5151u ^ (design_profile.num_gates * 131ull), pool);
+        PreparedSplit prepared =
+            prepare_split(design_profile, split_layer,
+                          victim_seed(design_profile, seed), pool);
 
         Table3Row row;
         row.design = design_profile.name;
@@ -503,7 +514,7 @@ Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
 }
 
 std::vector<AblationRow> run_figure5(
-    const ExperimentProfile& profile, const layout::FlowConfig& flow,
+    const ExperimentProfile& profile,
     const std::vector<netlist::DesignProfile>& designs, std::uint64_t seed) {
   constexpr int kSplitLayer = 3;  // the paper's Figure-5 baseline is M3
   constexpr std::size_t kNumSettings = 3;
@@ -512,36 +523,20 @@ std::vector<AblationRow> run_figure5(
   // settings whose unit is missing or damaged.
   const bool use_work = !profile.work_dir.empty();
   std::uint64_t digest = 0;
-  std::vector<std::optional<AblationRow>> cached(kNumSettings);
-  bool all_cached = false;
+  std::vector<std::optional<AblationRow>> cached;
   if (use_work) {
-    util::ensure_dir(profile.work_dir);
-    digest =
-        experiment_digest("figure5", kSplitLayer, profile, flow, designs, seed);
-    all_cached = true;
-    for (std::size_t s = 0; s < kNumSettings; ++s) {
-      const std::optional<std::string> payload =
-          load_work_unit(work_unit_path(profile.work_dir, digest, s));
-      if (payload.has_value()) {
-        try {
-          cached[s] = decode_f5_row(*payload, digest, s);
-          SMA_COUNT("work.units_loaded");
-        } catch (const util::FrameError& e) {
-          util::log_warn() << "recomputing work unit " << s << ": "
-                           << e.what();
-        }
+    digest = experiment_digest("figure5", kSplitLayer, profile, designs, seed);
+    cached = load_work_units(profile.work_dir, digest, kNumSettings,
+                             decode_f5_row);
+    if (all_loaded(cached)) {
+      util::log_info()
+          << "figure5: all settings loaded from work units, skipping training";
+      std::vector<AblationRow> rows;
+      for (std::optional<AblationRow>& row : cached) {
+        rows.push_back(std::move(*row));
       }
-      if (!cached[s].has_value()) all_cached = false;
+      return rows;
     }
-  }
-  if (all_cached) {
-    util::log_info()
-        << "figure5: all settings loaded from work units, skipping training";
-    std::vector<AblationRow> rows;
-    for (std::size_t s = 0; s < kNumSettings; ++s) {
-      rows.push_back(std::move(*cached[s]));
-    }
-    return rows;
   }
 
   std::unique_ptr<runtime::ThreadPool> owned_pool =
@@ -574,7 +569,7 @@ std::vector<AblationRow> run_figure5(
     variant.train.decay_every = 12;
 
     attack::DlAttack dl =
-        train_attack(kSplitLayer, variant, flow, seed, nullptr, pool);
+        train_attack(kSplitLayer, variant, seed, nullptr, pool);
 
     struct PerDesign {
       double ccr = 0.0;
@@ -583,8 +578,7 @@ std::vector<AblationRow> run_figure5(
     std::vector<PerDesign> per_design = runtime::parallel_map(
         pool, designs.size(), /*grain=*/1, [&](std::size_t d) {
           PreparedSplit prepared = prepare_split(
-              designs[d], kSplitLayer, flow,
-              seed ^ 0x5151u ^ (designs[d].num_gates * 131ull), pool);
+              designs[d], kSplitLayer, victim_seed(designs[d], seed), pool);
           util::Timer timer;
           attack::QueryDataset dataset =
               make_dataset(prepared, variant, setting.use_images, pool);
@@ -635,12 +629,11 @@ std::vector<AblationRow> run_figure5(
       pool, 0, corpus.size() + designs.size(), /*grain=*/1,
       [&](std::size_t i) {
         if (i < corpus.size()) {
-          prepare_split(corpus[i], kSplitLayer, flow,
-                        seed ^ (corpus[i].num_gates * 31ull), pool);
+          prepare_split(corpus[i], kSplitLayer, corpus_seed(corpus[i], seed),
+                        pool);
         } else {
           const netlist::DesignProfile& d = designs[i - corpus.size()];
-          prepare_split(d, kSplitLayer, flow,
-                        seed ^ 0x5151u ^ (d.num_gates * 131ull), pool);
+          prepare_split(d, kSplitLayer, victim_seed(d, seed), pool);
         }
       });
   // The three settings train as one TaskGroup: setting-level tasks keep

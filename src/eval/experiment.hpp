@@ -4,7 +4,9 @@
 // with the physical-design flow, split them at M1/M3, train the DL attack
 // on the training corpus, and attack each victim design with the DL attack
 // and the network-flow baseline — producing the rows of Table 3 and the
-// series of Figure 5.
+// series of Figure 5. Like the paper, every layout comes from one fixed
+// flow (`layout::run_flow`), so a design is named by its profile and seed
+// alone; no entry point here takes flow parameters.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +36,10 @@ struct PreparedSplit {
   std::unique_ptr<split::SplitDesign> split;
 };
 
-/// Generate `profile` with `seed`, run the implementation flow, split.
-/// The flow result is content-addressed through `SplitCache::global()`
-/// (see eval/split_cache.hpp): repeated calls with the same profile, flow
-/// config and seed reuse the stored layout instead of re-running
+/// Generate `profile` with `seed`, run the implementation flow at `seed`,
+/// split. The flow result is content-addressed through
+/// `SplitCache::global()` (see eval/split_cache.hpp): repeated calls with
+/// the same profile and seed reuse the stored layout instead of re-running
 /// placement and routing. Cached and fresh results are byte-identical, so
 /// every downstream number (Table 3, Figure 5, flow attack) is unchanged
 /// by the cache.
@@ -47,8 +49,7 @@ struct PreparedSplit {
 /// bit-identical at any thread count, so the pool never enters the cache
 /// key — pooled and serial calls share one cache entry.
 PreparedSplit prepare_split(const netlist::DesignProfile& profile,
-                            int split_layer, const layout::FlowConfig& flow,
-                            std::uint64_t seed,
+                            int split_layer, std::uint64_t seed,
                             runtime::ThreadPool* pool = nullptr);
 
 /// Fast defaults for single-core experiments: 15x15 three-scale images,
@@ -110,7 +111,6 @@ void finalize_averages(Table3Result& result);
 /// Train once on the training corpus, then attack every design of
 /// `attack_profiles` at `split_layer`.
 Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
-                        const layout::FlowConfig& flow,
                         const std::vector<netlist::DesignProfile>& designs,
                         std::uint64_t seed);
 
@@ -126,7 +126,6 @@ struct AblationRow {
 /// features), softmax loss (vector features), softmax loss (vector +
 /// image features).
 std::vector<AblationRow> run_figure5(const ExperimentProfile& profile,
-                                     const layout::FlowConfig& flow,
                                      const std::vector<netlist::DesignProfile>& designs,
                                      std::uint64_t seed);
 

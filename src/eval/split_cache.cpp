@@ -5,6 +5,8 @@
 #include <cstring>
 
 #include "layout/def_io.hpp"
+#include "place/detailed_placer.hpp"
+#include "place/global_placer.hpp"
 #include "tech/cell_library.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault.hpp"
@@ -78,10 +80,9 @@ layout::Design decode_entry(const std::string& payload, std::uint64_t key,
 }  // namespace
 
 std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
-                               const layout::FlowConfig& flow,
                                std::uint64_t seed) {
   util::ContentHash h;
-  h.add("sma-design-v1");
+  h.add("sma-design-v2");
 
   h.add(profile.name)
       .add(profile.num_inputs)
@@ -91,9 +92,12 @@ std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
       .add(profile.scaled_down)
       .add(profile.paper_gates);
 
-  h.add(flow.utilization).add(flow.seed).add(seed);
+  h.add(seed).add(layout::kUtilization);
 
-  const place::GlobalPlacerConfig& gp = flow.global_placer;
+  // The flow runs every stage at its default config; hashing the defaults
+  // and the schedule constants means editing any of them invalidates the
+  // disk tier's entries.
+  const place::GlobalPlacerConfig gp;
   h.add(gp.rounds)
       .add(gp.iterations_per_round)
       .add(gp.pull)
@@ -103,16 +107,16 @@ std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
       // Lane count fixes how the centroid sums associate, so it shapes
       // the layout. The thread count does NOT (bit-identical contract)
       // and is deliberately absent from this digest.
-      .add(gp.relax_lanes);
+      .add(place::kRelaxLanes);
 
-  const place::DetailedPlacerConfig& dp = flow.detailed_placer;
+  const place::DetailedPlacerConfig dp;
   h.add(dp.passes)
       .add(dp.candidates)
       .add(dp.max_row_distance)
       .add(dp.max_x_distance)
       .add(dp.seed);
 
-  const route::RoutingGrid::Config& grid = flow.grid;
+  const route::RoutingGrid::Config grid;
   h.add(grid.gcell_size)
       .add(grid.wrongway_capacity)
       .add(grid.via_capacity)
@@ -120,7 +124,7 @@ std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
       .add(grid.m2_capacity)
       .add(grid.track_utilization);
 
-  const route::RouterConfig& rt = flow.router;
+  const route::RouterConfig rt;
   h.add(rt.via_cost)
       .add(rt.wrongway_mult)
       .add(rt.m1_cost_mult)
@@ -130,11 +134,9 @@ std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
       .add(rt.max_iterations)
       .add(static_cast<std::uint64_t>(rt.max_expansions))
       .add(rt.layer_height_cost)
-      // Wave width and rip-up policy decide which nets share a usage
-      // snapshot, so they shape the routes; the thread count does not
-      // and is absent.
-      .add(rt.wave_size)
-      .add(rt.bulk_negotiation_ripup);
+      // Wave width decides which nets share a usage snapshot, so it
+      // shapes the routes; the thread count does not and is absent.
+      .add(route::kWaveSize);
 
   return h.digest();
 }
@@ -219,16 +221,14 @@ std::shared_ptr<const layout::Design> SplitCache::get_or_build(
   const tech::CellLibrary* library = nullptr;
   {
     util::MutexLock lock(mutex_);
-    if (enabled_) {
-      auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-        return it->second.design;
-      }
-      dir = disk_dir_;
-      library = library_;
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      ++stats_.hits;
+      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+      return it->second.design;
     }
+    dir = disk_dir_;
+    library = library_;
     ++stats_.misses;
   }
 
@@ -248,23 +248,12 @@ std::shared_ptr<const layout::Design> SplitCache::get_or_build(
   if (built && use_disk) spill_to_disk(dir, key, *design);
 
   util::MutexLock lock(mutex_);
-  if (!enabled_) return design;
   auto it = entries_.find(key);
   if (it != entries_.end()) return it->second.design;
   lru_.push_front(key);
   entries_.emplace(key, Entry{design, lru_.begin()});
   evict_to_capacity_locked();
   return design;
-}
-
-void SplitCache::set_enabled(bool enabled) {
-  util::MutexLock lock(mutex_);
-  enabled_ = enabled;
-}
-
-bool SplitCache::enabled() const {
-  util::MutexLock lock(mutex_);
-  return enabled_;
 }
 
 void SplitCache::set_capacity(std::size_t capacity) {

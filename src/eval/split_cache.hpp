@@ -2,9 +2,9 @@
 //
 // `prepare_split` runs the full generate -> place -> route flow, which
 // dominates Table-3/Figure-5 wall time outside of training. The flow is a
-// pure function of (design profile, flow config, seed), so its output can
-// be content-addressed: the cache key is a digest of every field that
-// feeds the generator and the flow, and a hit returns the previously
+// pure function of (design profile, seed), so its output can be
+// content-addressed: the cache key is a digest of every value that feeds
+// the generator and the flow, and a hit returns the previously
 // built `layout::Design` — byte-identical to a fresh run, because the
 // whole pipeline is deterministic. Splitting a cached design at a new
 // layer is cheap (purely geometric), so the split layer is *not* part of
@@ -36,9 +36,9 @@ class CellLibrary;
 
 namespace sma::eval {
 
-/// Digest of everything that determines a flow's output layout.
+/// Digest of everything that determines a flow's output layout: the
+/// profile, the seed, and the flow's fixed stage configs and constants.
 std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
-                               const layout::FlowConfig& flow,
                                std::uint64_t seed);
 
 class SplitCache {
@@ -62,15 +62,11 @@ class SplitCache {
 
   explicit SplitCache(std::size_t capacity = 32) : capacity_(capacity) {}
 
-  /// Look up `key`, building (and storing) via `build` on a miss. When the
-  /// cache is disabled every call builds and nothing is stored.
+  /// Look up `key`, building (and storing) via `build` on a miss.
   std::shared_ptr<const layout::Design> get_or_build(
       std::uint64_t key,
       const std::function<std::shared_ptr<const layout::Design>()>& build)
       SMA_EXCLUDES(mutex_);
-
-  void set_enabled(bool enabled) SMA_EXCLUDES(mutex_);
-  bool enabled() const SMA_EXCLUDES(mutex_);
 
   /// Max resident designs; shrinking evicts immediately (LRU order).
   void set_capacity(std::size_t capacity) SMA_EXCLUDES(mutex_);
@@ -105,7 +101,6 @@ class SplitCache {
                      const layout::Design& design) SMA_EXCLUDES(mutex_);
 
   mutable util::Mutex mutex_;
-  bool enabled_ SMA_GUARDED_BY(mutex_) = true;
   std::size_t capacity_ SMA_GUARDED_BY(mutex_);
   std::string disk_dir_ SMA_GUARDED_BY(mutex_);
   const tech::CellLibrary* library_ SMA_GUARDED_BY(mutex_) = nullptr;

@@ -2,6 +2,9 @@
 
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "place/detailed_placer.hpp"
+#include "place/global_placer.hpp"
+#include "place/legalizer.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
@@ -20,13 +23,13 @@ Design run_flow(netlist::Netlist netlist, const FlowConfig& config,
       std::make_unique<tech::LayerStack>(tech::LayerStack::nangate45_like());
 
   place::Floorplan floorplan =
-      place::make_floorplan(*design.netlist, config.utilization);
+      place::make_floorplan(*design.netlist, kUtilization);
   design.placement =
       std::make_unique<place::Placement>(design.netlist.get(), floorplan);
 
   {
     obs::TimedSpan span("flow", "global_place");
-    place::GlobalPlacerConfig global = config.global_placer;
+    place::GlobalPlacerConfig global;
     global.seed ^= config.seed * 0x9e3779b97f4a7c15ULL;
     run_global_placement(*design.placement, global, pool);
     design.timings.global_place_seconds = span.stop();
@@ -40,18 +43,18 @@ Design run_flow(netlist::Netlist netlist, const FlowConfig& config,
 
   {
     obs::TimedSpan span("flow", "detailed_place");
-    place::DetailedPlacerConfig detailed = config.detailed_placer;
+    place::DetailedPlacerConfig detailed;
     detailed.seed ^= config.seed * 0xbf58476d1ce4e5b9ULL;
     run_detailed_placement(*design.placement, detailed);
     design.timings.detailed_place_seconds = span.stop();
   }
 
-  design.grid = std::make_unique<route::RoutingGrid>(
-      design.stack.get(), floorplan.die, config.grid);
+  design.grid =
+      std::make_unique<route::RoutingGrid>(design.stack.get(), floorplan.die);
   {
     obs::TimedSpan span("flow", "route");
     design.routing = route::route_design(*design.placement, *design.grid,
-                                         config.router, pool);
+                                         route::RouterConfig{}, pool);
     design.timings.route_seconds = span.stop();
   }
 

@@ -4,16 +4,15 @@
 // `run_flow` is the stand-in for the paper's Synopsys DC + Cadence Innovus
 // pipeline: it takes a netlist, builds a floorplan, places (global ->
 // legal -> detailed) and routes it, returning a self-contained `Design`
-// whose parts reference each other with stable addresses.
+// whose parts reference each other with stable addresses. Like the paper's
+// single fixed flow, it is a function of (netlist, seed) alone: every
+// stage runs with its default config, so the only setting is the seed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "netlist/netlist.hpp"
-#include "place/detailed_placer.hpp"
-#include "place/global_placer.hpp"
-#include "place/legalizer.hpp"
 #include "place/placement.hpp"
 #include "route/router.hpp"
 #include "route/routing_grid.hpp"
@@ -47,13 +46,11 @@ struct Design {
   }
 };
 
-/// Parameters of the implementation flow.
+/// Floorplan row utilization of the flow (not `make_floorplan`'s default).
+inline constexpr double kUtilization = 0.55;
+
+/// The flow's one setting.
 struct FlowConfig {
-  double utilization = 0.55;
-  place::GlobalPlacerConfig global_placer;
-  place::DetailedPlacerConfig detailed_placer;
-  route::RoutingGrid::Config grid;
-  route::RouterConfig router;
   /// Master seed; placer seeds are derived from it so two flows with
   /// different seeds yield different (but statistically alike) layouts.
   std::uint64_t seed = 1;

@@ -37,8 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "nn/gemm.hpp"
@@ -70,10 +68,6 @@ class Arena {
   Slot add_tensor();
   Slot add_floats();
   Slot add_bytes();
-  /// Shared slot registration: the same key returns the same float slot
-  /// within this arena, letting independent call sites share one buffer
-  /// for state that is live only inside a single call.
-  Slot shared_floats(const std::string& key);
 
   // -- slot acquisition (hot path, zero allocations once warm) -----------
   /// `layout` tags the storage order the producer will write the slot in
@@ -100,7 +94,6 @@ class Arena {
   std::deque<Tensor> tensors_;
   std::deque<std::vector<float>> floats_;
   std::deque<std::vector<std::uint8_t>> bytes_;
-  std::vector<std::pair<std::string, Slot>> shared_floats_;  ///< few entries
   GemmScratch scratch_;
   // Lazily-observed scratch capacities; mutable so stats() can reconcile.
   mutable std::size_t scratch_seen_a_ = 0;

@@ -17,6 +17,15 @@
 
 namespace sma::place {
 
+/// Accumulation lanes for the centroid relaxation: nets are split into
+/// this many contiguous blocks whose per-cell pulls accumulate into
+/// private arrays, reduced in fixed lane order (the gradient-lane
+/// pattern). Part of the algorithm — it decides how the floating-point
+/// sums associate and therefore feeds the layout-cache digest — and
+/// independent of the thread count, so any pool size is bit-identical to
+/// serial.
+inline constexpr int kRelaxLanes = 8;
+
 struct GlobalPlacerConfig {
   /// Relax/spread rounds (Kraftwerk-like alternation).
   int rounds = 8;
@@ -29,21 +38,12 @@ struct GlobalPlacerConfig {
   int refine_iterations = 4;
   double refine_pull = 0.2;
   std::uint64_t seed = 7;
-  /// Accumulation lanes for the centroid relaxation: nets are split into
-  /// this many contiguous blocks whose per-cell pulls accumulate into
-  /// private arrays, reduced in fixed lane order (the gradient-lane
-  /// pattern). Part of the algorithm — it decides how the floating-point
-  /// sums associate and therefore feeds the layout-cache digest — and
-  /// independent of the thread count, so any pool size is bit-identical
-  /// to serial. 1 reproduces the legacy single-pass accumulation.
-  int relax_lanes = 8;
 };
 
 /// Runs global placement in-place; positions are continuous (not yet
 /// legalized) but inside the die. A non-null `pool` parallelizes the
 /// relaxation lanes and the spreading's per-band sorts; the result is
-/// bit-identical at any thread count. Throws std::invalid_argument on a
-/// non-positive `relax_lanes`.
+/// bit-identical at any thread count.
 void run_global_placement(Placement& placement,
                           const GlobalPlacerConfig& config = {},
                           runtime::ThreadPool* pool = nullptr);

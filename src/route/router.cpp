@@ -350,9 +350,6 @@ void route_waves(const std::vector<NetId>& nets, RoutingResult& result,
 RoutingResult route_design(const place::Placement& placement,
                            RoutingGrid& grid, const RouterConfig& config,
                            runtime::ThreadPool* pool) {
-  if (config.wave_size < 1) {
-    throw std::invalid_argument("RouterConfig::wave_size must be >= 1");
-  }
   const netlist::Netlist& nl = placement.netlist();
   RoutingResult result;
   result.routes.resize(nl.num_nets());
@@ -378,8 +375,7 @@ RoutingResult route_design(const place::Placement& placement,
 
   {
     SMA_TRACE_SPAN_V("route", "first_pass", num_nets);
-    route_waves(order, result, grid, loaner, pool,
-                static_cast<std::size_t>(config.wave_size),
+    route_waves(order, result, grid, loaner, pool, kWaveSize,
                 /*rip_up_first=*/false);
   }
 
@@ -408,21 +404,16 @@ RoutingResult route_design(const place::Placement& placement,
                       << grid.overflow_count() << " overflowed edges, "
                       << offenders.size() << " nets to reroute";
     SMA_COUNT_N("route.offender_nets", offenders.size());
-    if (config.bulk_negotiation_ripup) {
-      for (NetId n : offenders) {
-        apply_route_usage(grid, result.routes[n], -1);
-      }
-    }
     // The negotiation wave width starts at half the first-pass width and
     // halves again every round (never below 1), so late rounds approach
     // the sequential schedule whose full usage visibility PathFinder's
     // convergence relies on — full-width negotiation waves measurably
     // leave residual overflow (see BENCH_flow.json).
     const std::size_t negotiation_wave = std::max<std::size_t>(
-        1, static_cast<std::size_t>(config.wave_size) >>
+        1, std::size_t{kWaveSize} >>
                std::min(iter, 30));  // clamped: shifting by >= width is UB
     route_waves(offenders, result, grid, loaner, pool, negotiation_wave,
-                /*rip_up_first=*/!config.bulk_negotiation_ripup);
+                /*rip_up_first=*/true);
   }
   result.negotiation_seconds = negotiation_timer.seconds();
 

@@ -7,14 +7,12 @@
 // costs resolve overflows. The output geometry feeds the split model and
 // the attack features.
 //
-// Nets are scheduled in deterministic *waves* of `RouterConfig::wave_size`
-// nets: every net of a wave runs A* against an immutable snapshot of grid
+// Nets are scheduled in deterministic *waves* of `kWaveSize` nets: every
+// net of a wave runs A* against an immutable snapshot of grid
 // usage/history (no commits happen mid-wave), then usage is committed in
-// fixed net order before the next wave starts. The schedule is a property
-// of the config alone — never of the thread count — so routing a design
-// with a thread pool is bit-identical to routing it serially, and
-// `wave_size = 1` with `bulk_negotiation_ripup` reproduces the
-// strictly-sequential legacy router edge-for-edge.
+// fixed net order before the next wave starts. The schedule is a constant
+// of the router — never a function of the thread count — so routing a
+// design with a thread pool is bit-identical to routing it serially.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +25,14 @@
 
 namespace sma::route {
 
+/// Nets routed concurrently against one usage snapshot before their usage
+/// is committed (in net order). Part of the routing algorithm, so it feeds
+/// the layout-cache digest. 4 was measured on the small/mid profiles:
+/// waves of 4-8 keep final overflow at the sequential schedule's level and
+/// BEOL-excursion counts (the M3 attack's raw material) within a few
+/// percent of it, while 16+ starts leaving residual overflow.
+inline constexpr int kWaveSize = 4;
+
 struct RouterConfig {
   double via_cost = 2.0;          ///< base cost of one via step
   double wrongway_mult = 4.0;     ///< planar cost multiplier off-preference
@@ -36,29 +42,6 @@ struct RouterConfig {
   double overflow_penalty = 8.0;  ///< hard cost per unit of overflow
   int max_iterations = 4;         ///< rip-up-and-reroute rounds
   std::size_t max_expansions = 400000;  ///< per two-pin connection
-
-  /// Nets routed concurrently against one usage snapshot before their
-  /// usage is committed (in net order). Part of the routing algorithm, so
-  /// it feeds the layout-cache digest; 1 = the legacy sequential schedule
-  /// where every net sees every previously routed net. Must be >= 1.
-  /// Default 4: measured on the small/mid profiles, waves of 4-8 keep
-  /// final overflow at the sequential router's level and BEOL-excursion
-  /// counts (the M3 attack's raw material) within a few percent of the
-  /// sequential schedule, while 16+ starts leaving residual overflow
-  /// (see BENCH_flow.json deltas). Raise it on many-core hosts routing
-  /// large designs; quality deltas are reported by `bench_flow`.
-  int wave_size = 4;
-
-  /// Negotiation rip-up policy. false (default): each negotiation wave
-  /// rips up only its own nets immediately before rerouting them, so
-  /// offenders awaiting later waves keep their usage visible — close to
-  /// canonical per-net PathFinder, and what keeps the wave schedule's
-  /// extra negotiation cost small. true: all offenders are ripped up
-  /// before any rerouting starts — the pre-wave router's policy, kept so
-  /// `wave_size = 1 && bulk_negotiation_ripup` reproduces the legacy
-  /// strictly-sequential router edge-for-edge (the quality baseline
-  /// `bench_flow` reports deltas against).
-  bool bulk_negotiation_ripup = false;
 
   /// Per-layer height surcharge: planar cost is multiplied by
   /// 1 + layer_height_cost * (layer - 3) above M3. Together with via cost
@@ -83,8 +66,7 @@ struct RoutingResult {
 /// Route all nets of `placement` on `grid`. The grid's usage is left
 /// populated so callers can inspect congestion. A non-null `pool` routes
 /// each wave's nets concurrently; the result is bit-identical to the
-/// serial run at any thread count (see the wave contract above). Throws
-/// std::invalid_argument on a non-positive `wave_size`.
+/// serial run at any thread count (see the wave contract above).
 RoutingResult route_design(const place::Placement& placement,
                            RoutingGrid& grid, const RouterConfig& config = {},
                            runtime::ThreadPool* pool = nullptr);

@@ -148,17 +148,6 @@ TEST(Arena, FloatAndByteBuffersReuse) {
   for (int i = 0; i < 50; ++i) EXPECT_FLOAT_EQ(p3[i], 0.0f);
 }
 
-TEST(Arena, SharedFloatSlotsKeyedByName) {
-  Arena arena;
-  const Arena::Slot a = arena.shared_floats("conv.dy_masked");
-  const Arena::Slot b = arena.shared_floats("conv.dy_masked");
-  const Arena::Slot c = arena.shared_floats("conv.dcols");
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
-  EXPECT_EQ(arena.floats(a, 16, Arena::Fill::kNone),
-            arena.floats(b, 16, Arena::Fill::kNone));
-}
-
 TEST(Arena, StatsTrackScratchGrowth) {
   Arena arena;
   const long before = arena.stats().allocs;
@@ -362,7 +351,7 @@ eval::PreparedSplit tiny_prepared() {
   profile.num_inputs = 8;
   profile.num_outputs = 4;
   profile.num_gates = 280;
-  return eval::prepare_split(profile, 3, layout::FlowConfig{}, 91);
+  return eval::prepare_split(profile, 3, 91);
 }
 
 nn::NetConfig tiny_net_config() {

@@ -615,9 +615,8 @@ TEST_F(DurabilityTest, Figure5RerunLoadsWorkUnitsBitIdenticallyAndSkips) {
   victim.num_gates = 300;
   const std::vector<netlist::DesignProfile> victims = {victim};
 
-  layout::FlowConfig flow;
   const std::vector<eval::AblationRow> first =
-      eval::run_figure5(profile, flow, victims, 2019);
+      eval::run_figure5(profile, victims, 2019);
   ASSERT_EQ(first.size(), 3u);
 
   std::size_t units = 0;
@@ -630,7 +629,7 @@ TEST_F(DurabilityTest, Figure5RerunLoadsWorkUnitsBitIdenticallyAndSkips) {
   // was recomputed: avg_inference_seconds is a wall-clock measurement,
   // bit-equal only if it came from the file.
   const std::vector<eval::AblationRow> second =
-      eval::run_figure5(profile, flow, victims, 2019);
+      eval::run_figure5(profile, victims, 2019);
   ASSERT_EQ(second.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(second[i].setting, first[i].setting);
@@ -649,7 +648,7 @@ TEST_F(DurabilityTest, Figure5RerunLoadsWorkUnitsBitIdenticallyAndSkips) {
     }
   }
   const std::vector<eval::AblationRow> third =
-      eval::run_figure5(profile, flow, victims, 2019);
+      eval::run_figure5(profile, victims, 2019);
   ASSERT_EQ(third.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(third[i].setting, first[i].setting);

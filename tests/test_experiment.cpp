@@ -40,8 +40,7 @@ ExperimentProfile tiny_profile() {
 
 TEST(Experiment, PrepareSplitProducesConsistentDesign) {
   netlist::DesignProfile profile = tiny_designs()[0];
-  PreparedSplit prepared =
-      prepare_split(profile, 3, layout::FlowConfig{}, 42);
+  PreparedSplit prepared = prepare_split(profile, 3, 42);
   EXPECT_EQ(prepared.name, "tiny_a");
   EXPECT_TRUE(prepared.design->netlist->validate().empty());
   EXPECT_GT(prepared.split->sink_fragments().size(), 0u);
@@ -66,11 +65,9 @@ TEST(Experiment, Table3EndToEndTiny) {
   // Use the tiny training corpus: swap in tiny profiles by running the
   // pipeline pieces directly.
   ExperimentProfile profile = tiny_profile();
-  layout::FlowConfig flow;
 
   // Train on one tiny design.
-  PreparedSplit train_split =
-      prepare_split(tiny_designs()[0], 3, flow, 7);
+  PreparedSplit train_split = prepare_split(tiny_designs()[0], 3, 7);
   attack::DatasetConfig dataset_config = profile.dataset;
   std::vector<attack::QueryDataset> training;
   training.emplace_back(train_split.split.get(), dataset_config);
@@ -83,7 +80,7 @@ TEST(Experiment, Table3EndToEndTiny) {
   dl.train(training, validation, profile.train);
 
   // Attack the other tiny design.
-  PreparedSplit victim = prepare_split(tiny_designs()[1], 3, flow, 8);
+  PreparedSplit victim = prepare_split(tiny_designs()[1], 3, 8);
   attack::QueryDataset victim_data(victim.split.get(), dataset_config);
   attack::AttackResult dl_result = dl.attack(victim_data);
   EXPECT_GE(dl_result.ccr, 0.0);
@@ -98,18 +95,17 @@ TEST(Experiment, Figure5ConcurrentSettingsMatchSerial) {
   // run_figure5 trains its three settings as one TaskGroup when the
   // profile resolves > 1 thread; the rows must match a 1-thread run
   // bitwise (settings are independent and slot-addressed).
-  layout::FlowConfig flow;
   std::vector<netlist::DesignProfile> victims = {tiny_designs()[0]};
 
   ExperimentProfile serial_profile = tiny_profile();
   serial_profile.runtime.threads = 1;
   std::vector<AblationRow> serial =
-      run_figure5(serial_profile, flow, victims, 2019);
+      run_figure5(serial_profile, victims, 2019);
 
   ExperimentProfile parallel_profile = tiny_profile();
   parallel_profile.runtime.threads = 4;
   std::vector<AblationRow> parallel =
-      run_figure5(parallel_profile, flow, victims, 2019);
+      run_figure5(parallel_profile, victims, 2019);
 
   ASSERT_EQ(serial.size(), 3u);
   ASSERT_EQ(parallel.size(), 3u);

@@ -23,8 +23,7 @@ struct Routed {
 };
 
 Routed route_small(int gates = 80, std::uint64_t seed = 5,
-                   runtime::ThreadPool* pool = nullptr,
-                   const RouterConfig& config = {}) {
+                   runtime::ThreadPool* pool = nullptr) {
   netlist::GeneratorConfig generator;
   generator.num_inputs = 8;
   generator.num_outputs = 4;
@@ -38,7 +37,7 @@ Routed route_small(int gates = 80, std::uint64_t seed = 5,
   place::run_global_placement(*r.placement);
   place::run_legalization(*r.placement);
   r.grid = std::make_unique<RoutingGrid>(&r.stack, r.fp.die);
-  r.result = route_design(*r.placement, *r.grid, config, pool);
+  r.result = route_design(*r.placement, *r.grid, {}, pool);
   return r;
 }
 
@@ -219,36 +218,6 @@ TEST(Router, WaveScheduleStableAcrossRuns) {
   Routed first = route_small(60, 77, &pool);
   Routed second = route_small(60, 77, &pool);
   expect_identical(first.result, second.result);
-}
-
-TEST(Router, WaveSizeOneMatchesLegacySequentialSchedule) {
-  // wave_size = 1 is the pre-wave router: every net sees all previously
-  // committed nets. It differs from the default wave schedule in general
-  // but must itself be deterministic and parallel-invariant (each wave
-  // holds a single net, so the pool has nothing to reorder).
-  RouterConfig sequential;
-  sequential.wave_size = 1;
-  Routed serial = route_small(100, 21, nullptr, sequential);
-  runtime::ThreadPool pool(2);
-  Routed parallel = route_small(100, 21, &pool, sequential);
-  expect_identical(serial.result, parallel.result);
-}
-
-TEST(Router, RejectsNonPositiveWaveSize) {
-  netlist::GeneratorConfig generator;
-  generator.num_inputs = 4;
-  generator.num_outputs = 2;
-  generator.num_gates = 10;
-  netlist::Netlist nl =
-      netlist::generate_netlist(generator, "w", &sma::test::library());
-  place::Floorplan fp = place::make_floorplan(nl);
-  place::Placement placement(&nl, fp);
-  place::run_global_placement(placement);
-  tech::LayerStack stack = tech::LayerStack::nangate45_like();
-  RoutingGrid grid(&stack, fp.die);
-  RouterConfig config;
-  config.wave_size = 0;
-  EXPECT_THROW(route_design(placement, grid, config), std::invalid_argument);
 }
 
 // --- fallback-route termination (regression) ---------------------------

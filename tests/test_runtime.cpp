@@ -209,12 +209,11 @@ std::vector<netlist::DesignProfile> determinism_designs() {
 
 TEST(Determinism, ParallelTable3MatchesSerialRowForRow) {
   const std::vector<netlist::DesignProfile> designs = determinism_designs();
-  layout::FlowConfig flow;
 
   eval::Table3Result serial =
-      eval::run_table3(3, determinism_profile(1), flow, designs, 2019);
+      eval::run_table3(3, determinism_profile(1), designs, 2019);
   eval::Table3Result parallel =
-      eval::run_table3(3, determinism_profile(4), flow, designs, 2019);
+      eval::run_table3(3, determinism_profile(4), designs, 2019);
 
   ASSERT_EQ(serial.rows.size(), parallel.rows.size());
   for (std::size_t i = 0; i < serial.rows.size(); ++i) {
@@ -238,9 +237,7 @@ TEST(Determinism, LaneParallelTrainingMatchesSerial) {
   // Same model trained twice with batch lanes — once serially, once on a
   // pool — must serialize to identical bytes.
   const std::vector<netlist::DesignProfile> designs = determinism_designs();
-  layout::FlowConfig flow;
-  eval::PreparedSplit prepared =
-      eval::prepare_split(designs[0], 3, flow, 77);
+  eval::PreparedSplit prepared = eval::prepare_split(designs[0], 3, 77);
 
   attack::DatasetConfig dataset_config;
   dataset_config.candidates.max_candidates = 6;

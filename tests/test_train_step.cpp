@@ -233,7 +233,7 @@ eval::PreparedSplit tiny_prepared() {
   profile.num_inputs = 8;
   profile.num_outputs = 4;
   profile.num_gates = 280;
-  return eval::prepare_split(profile, 3, layout::FlowConfig{}, 77);
+  return eval::prepare_split(profile, 3, 77);
 }
 
 nn::NetConfig tiny_net_config() {
