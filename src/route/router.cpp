@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <queue>
-#include <stdexcept>
 
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
