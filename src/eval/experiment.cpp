@@ -513,6 +513,13 @@ Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
   return result;
 }
 
+Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
+                        const layout::FlowConfig& /*flow*/,
+                        const std::vector<netlist::DesignProfile>& designs,
+                        std::uint64_t seed) {
+  return run_table3(split_layer, profile, designs, seed);
+}
+
 std::vector<AblationRow> run_figure5(
     const ExperimentProfile& profile,
     const std::vector<netlist::DesignProfile>& designs, std::uint64_t seed) {

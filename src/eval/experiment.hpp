@@ -6,7 +6,8 @@
 // and the network-flow baseline — producing the rows of Table 3 and the
 // series of Figure 5. Like the paper, every layout comes from one fixed
 // flow (`layout::run_flow`), so a design is named by its profile and seed
-// alone; no entry point here takes flow parameters.
+// alone; no entry point here takes flow parameters (one `run_table3`
+// overload accepts and ignores a `FlowConfig` for an older caller).
 #pragma once
 
 #include <cstdint>
@@ -111,6 +112,16 @@ void finalize_averages(Table3Result& result);
 /// Train once on the training corpus, then attack every design of
 /// `attack_profiles` at `split_layer`.
 Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
+                        const std::vector<netlist::DesignProfile>& designs,
+                        std::uint64_t seed);
+
+/// The same run under the signature of the parameterized flow, which
+/// perfbench's fidelity self-test (`perfbench/tests/test_fidelity.cpp`)
+/// still calls. The flow is fixed and its seed has always come from
+/// `seed`, so `flow` does not enter the run; this overload goes when that
+/// caller drops the argument.
+Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
+                        const layout::FlowConfig& flow,
                         const std::vector<netlist::DesignProfile>& designs,
                         std::uint64_t seed);
 

@@ -26,11 +26,16 @@ netlist::DesignProfile tiny_profile(const char* name, int gates) {
   return p;
 }
 
-/// Each test starts from an empty global cache and leaves it that way
-/// (other test binaries have their own process).
+/// Each test starts from an empty, memory-only global cache and leaves it
+/// that way (other test binaries have their own process). Detaching the
+/// SMA_CACHE_DIR disk tier keeps every miss a fresh flow run, so
+/// cached-vs-fresh comparisons never compare two loads.
 class SplitCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override { SplitCache::global().clear(); }
+  void SetUp() override {
+    SplitCache::global().set_disk_dir("", nullptr);
+    SplitCache::global().clear();
+  }
   void TearDown() override { SplitCache::global().clear(); }
 };
 
@@ -164,6 +169,7 @@ TEST_F(SplitCacheTest, Table3RowsUnchangedByCache) {
   const SplitCache::Stats cold_stats = SplitCache::global().stats();
   EXPECT_GT(cold_stats.misses, 0u);
   EXPECT_EQ(cold_stats.hits, 0u);
+  EXPECT_EQ(cold_stats.disk_hits, 0u);
 
   // ...and the rerun rebuilds nothing: training corpus + victim all hit.
   Table3Result cached = run_table3(3, profile, designs, 2019);
