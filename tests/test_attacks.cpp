@@ -9,6 +9,7 @@
 #include "attack/proximity_attack.hpp"
 #include "runtime/thread_pool.hpp"
 #include "test_support.hpp"
+#include "util/hash.hpp"
 
 namespace sma::attack {
 namespace {
@@ -160,6 +161,71 @@ TEST_F(AttackTest, TrainingWithValidationTracksCcr) {
   EXPECT_EQ(stats.validation_ccr.size(), 2u);
 }
 
+/// A tiny image profile: 9x9 two-channel pin images, 8 candidates.
+DatasetConfig tiny_image_dataset_config() {
+  DatasetConfig config;
+  config.candidates.max_candidates = 8;
+  config.images.size = 9;
+  config.images.pixel_sizes = {200, 400};
+  return config;
+}
+
+/// The full topology at toy widths; its image channels match
+/// tiny_image_dataset_config().
+nn::NetConfig tiny_image_net_config() {
+  nn::NetConfig config;
+  config.hidden = 16;
+  config.vector_res_blocks = 1;
+  config.merged_res_blocks = 1;
+  config.image_channels = 2;
+  config.conv_channels = {4, 6, 8, 10};
+  config.image_fc = 16;
+  config.fc6_width = 8;
+  return config;
+}
+
+/// Digest of every Selection field and the CCR of one attack() result.
+std::uint64_t attack_digest(const AttackResult& result) {
+  util::ContentHash hash;
+  hash.add(static_cast<std::uint64_t>(result.selections.size()));
+  for (const Selection& s : result.selections) {
+    hash.add(s.sink_fragment).add(s.chosen_source).add(s.correct).add(
+        s.num_sinks);
+  }
+  return hash.add(result.ccr).digest();
+}
+
+// Absolute anchor for inference: the digest of a trained tiny image net's
+// attack() on a held-out victim, recorded once, serial and on 4 threads.
+// Any change to how attack() scores candidates that moves a single
+// selection (or the CCR by one bit) fails here. Changing the golden
+// requires a CHANGES.md justification.
+TEST(DlAttack, GoldenAttackSelections) {
+  const test::SmallSplit& train_split = test::shared_split(3, 400, 13);
+  const test::SmallSplit& victim_split = test::shared_split(3, 400, 14);
+  std::vector<QueryDataset> training;
+  training.emplace_back(train_split.split.get(), tiny_image_dataset_config());
+  std::vector<QueryDataset> validation;
+  TrainConfig train_config;
+  train_config.epochs = 2;
+  train_config.max_queries_per_design = 60;
+  DlAttack dl(tiny_image_net_config());
+  dl.train(training, validation, train_config);
+
+  const QueryDataset victim(victim_split.split.get(),
+                            tiny_image_dataset_config());
+  runtime::ThreadPool pool(4);
+  for (runtime::ThreadPool* p : {static_cast<runtime::ThreadPool*>(nullptr),
+                                 &pool}) {
+    const AttackResult result = dl.attack(victim, p);
+    ASSERT_GT(result.selections.size(), 0u);
+    const std::uint64_t digest = attack_digest(result);
+    EXPECT_EQ(digest, 0x85b97e0f85fd7687ull)
+        << (p == nullptr ? "serial" : "4 threads") << ": got 0x" << std::hex
+        << digest;
+  }
+}
+
 void expect_same_selections(const AttackResult& got,
                             const AttackResult& want) {
   ASSERT_EQ(got.selections.size(), want.selections.size());
@@ -178,22 +244,9 @@ void expect_same_selections(const AttackResult& got,
 // every attack() runs leased replicas, so the calls share nothing mutable
 // (the TSan leg runs this) and both answers equal a serial attack().
 TEST(DlAttack, ConcurrentAttacksShareOneDataset) {
-  DatasetConfig dataset_config;
-  dataset_config.candidates.max_candidates = 8;
-  dataset_config.images.size = 9;
-  dataset_config.images.pixel_sizes = {200, 400};
   const test::SmallSplit& split = test::shared_split(3, 400, 13);
-  QueryDataset dataset(split.split.get(), dataset_config);
-
-  nn::NetConfig net_config;
-  net_config.hidden = 16;
-  net_config.vector_res_blocks = 1;
-  net_config.merged_res_blocks = 1;
-  net_config.image_channels = 2;
-  net_config.conv_channels = {4, 6, 8, 10};
-  net_config.image_fc = 16;
-  net_config.fc6_width = 8;
-  DlAttack dl(net_config);
+  QueryDataset dataset(split.split.get(), tiny_image_dataset_config());
+  DlAttack dl(tiny_image_net_config());
 
   runtime::ThreadPool pool(2);
   for (runtime::ThreadPool* p : {&pool, static_cast<runtime::ThreadPool*>(
