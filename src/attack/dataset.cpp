@@ -23,37 +23,53 @@ QueryDataset::QueryDataset(const split::SplitDesign* split,
               features::compute_vector_features(*split_, vpp));
         }
       });
-  if (config.build_images) {
-    renderer_ =
-        std::make_unique<features::ImageRenderer>(split_, config.images);
-    // One image per distinct referenced pin. Rendering is pure per pin;
-    // the cache fill stays on this thread.
-    const std::vector<int> pins = referenced_pins();
-    SMA_TRACE_SPAN_V("dataset", "render_images", pins.size());
-    SMA_COUNT_N("dataset.images_rendered", pins.size());
-    std::vector<std::vector<float>> images = runtime::parallel_map(
-        config.pool, pins.size(), /*grain=*/1,
-        [this, &pins](std::size_t i) { return renderer_->render(pins[i]); });
-    for (std::size_t i = 0; i < pins.size(); ++i) {
-      image_cache_.emplace(pins[i], std::move(images[i]));
-    }
-  }
-}
-
-std::vector<int> QueryDataset::referenced_pins() const {
+  // Pin rows: every pin some query references, deduplicated and sorted,
+  // so row order depends on the split alone.
   std::vector<int> pins;
   for (const split::SinkQuery& query : queries_) {
+    if (query.candidates.empty()) continue;
     for (const split::Vpp& vpp : query.candidates) {
       pins.push_back(vpp.source_vp);
     }
-    if (!query.candidates.empty()) {
-      const split::Fragment& sink = split_->fragment(query.sink_fragment);
-      pins.push_back(sink.virtual_pins.front());
-    }
+    // The sink fragment's first virtual pin represents it.
+    pins.push_back(split_->fragment(query.sink_fragment).virtual_pins.front());
   }
   std::sort(pins.begin(), pins.end());
   pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-  return pins;
+  num_pins_ = pins.size();
+  const auto row_of = [&pins](int pin) {
+    return static_cast<int>(std::lower_bound(pins.begin(), pins.end(), pin) -
+                            pins.begin());
+  };
+  row_offsets_.reserve(queries_.size());
+  for (const split::SinkQuery& query : queries_) {
+    row_offsets_.push_back(pin_rows_.size());
+    if (query.candidates.empty()) continue;
+    for (const split::Vpp& vpp : query.candidates) {
+      pin_rows_.push_back(row_of(vpp.source_vp));
+    }
+    pin_rows_.push_back(
+        row_of(split_->fragment(query.sink_fragment).virtual_pins.front()));
+  }
+
+  if (config.build_images) {
+    // One image per pin row. Rendering is pure per pin, and each task
+    // writes only its own row of the dense buffer.
+    const features::ImageRenderer renderer(split_, config.images);
+    image_channels_ = config.images.channels();
+    image_size_ = config.images.size;
+    const std::size_t per_image = config.images.pixels_per_image();
+    pin_images_.resize(pins.size() * per_image);
+    SMA_TRACE_SPAN_V("dataset", "render_images", pins.size());
+    SMA_COUNT_N("dataset.images_rendered", pins.size());
+    runtime::parallel_for(
+        config.pool, 0, pins.size(), /*grain=*/1,
+        [this, &renderer, &pins, per_image](std::size_t r) {
+          const std::vector<float> image = renderer.render(pins[r]);
+          std::memcpy(pin_images_.data() + r * per_image, image.data(),
+                      sizeof(float) * per_image);
+        });
+  }
 }
 
 nn::QueryInput QueryDataset::input(std::size_t i) const {
@@ -62,38 +78,49 @@ nn::QueryInput QueryDataset::input(std::size_t i) const {
   return input;
 }
 
-void QueryDataset::input_into(std::size_t i, nn::QueryInput& out) const {
-  const split::SinkQuery& query = queries_.at(i);
-  const int n = static_cast<int>(query.candidates.size());
-
-  // Both tensors are fully overwritten below (one memcpy per row/plane
-  // covers every element), so plain resize_reuse needs no zeroing and a
-  // reused QueryInput assembles without touching the heap once warm.
-  out.vec.resize_reuse({n, features::kNumVectorFeatures});
+void QueryDataset::vectors_into(std::size_t i, nn::Tensor& out) const {
+  const int n = static_cast<int>(queries_.at(i).candidates.size());
+  // Fully overwritten below (one memcpy per row covers every element), so
+  // plain resize_reuse needs no zeroing and a reused tensor assembles
+  // without touching the heap once warm.
+  out.resize_reuse({n, features::kNumVectorFeatures});
   for (int j = 0; j < n; ++j) {
-    std::memcpy(out.vec.data() + static_cast<std::size_t>(j) *
-                                     features::kNumVectorFeatures,
+    std::memcpy(out.data() + static_cast<std::size_t>(j) *
+                                 features::kNumVectorFeatures,
                 vector_features_[i][j].data(),
                 sizeof(float) * features::kNumVectorFeatures);
   }
+}
 
-  if (renderer_ == nullptr || n == 0) {
+void QueryDataset::input_into(std::size_t i, nn::QueryInput& out) const {
+  vectors_into(i, out.vec);
+  const std::size_t n = queries_.at(i).candidates.size();
+  if (image_channels_ == 0 || n == 0) {
     out.images = nn::Tensor();
     return;
   }
-  const features::ImageConfig& img = renderer_->config();
-  out.images.resize_reuse({n + 1, img.channels(), img.size, img.size});
-  const std::size_t per_image = img.pixels_per_image();
-  for (int j = 0; j < n; ++j) {
-    const auto& source_image = image_of(query.candidates[j].source_vp);
-    std::memcpy(out.images.data() + static_cast<std::size_t>(j) * per_image,
-                source_image.data(), sizeof(float) * per_image);
+  // n source images, then the sink image; every plane fully overwritten.
+  out.images.resize_reuse({static_cast<int>(n) + 1, image_channels_,
+                           image_size_, image_size_});
+  const std::size_t per_image =
+      static_cast<std::size_t>(image_channels_) * image_size_ * image_size_;
+  const int* rows = pin_rows(i);
+  for (std::size_t j = 0; j <= n; ++j) {
+    std::memcpy(out.images.data() + j * per_image,
+                pin_images_.data() + static_cast<std::size_t>(rows[j]) *
+                                         per_image,
+                sizeof(float) * per_image);
   }
-  // Sink image: the sink fragment's first virtual pin represents it.
-  const split::Fragment& sink = split_->fragment(query.sink_fragment);
-  const auto& sink_image = image_of(sink.virtual_pins.front());
-  std::memcpy(out.images.data() + static_cast<std::size_t>(n) * per_image,
-              sink_image.data(), sizeof(float) * per_image);
+}
+
+void QueryDataset::pin_images_into(std::size_t first, std::size_t count,
+                                   nn::Tensor& out) const {
+  out.resize_reuse({static_cast<int>(count), image_channels_, image_size_,
+                    image_size_});
+  const std::size_t per_image =
+      static_cast<std::size_t>(image_channels_) * image_size_ * image_size_;
+  std::memcpy(out.data(), pin_images_.data() + first * per_image,
+              sizeof(float) * count * per_image);
 }
 
 }  // namespace sma::attack

@@ -1,16 +1,18 @@
 // Query dataset: per-sink-fragment candidate lists materialized as neural
-// network inputs, with cached virtual-pin images.
+// network inputs, with one rendered image per virtual pin.
 //
 // One dataset wraps one split design. Construction computes every
 // candidate's vector features and renders the image of every virtual pin
 // some query references, once per pin (the same pin appears in many
-// queries) — in parallel when the config carries a pool. After
+// queries) — in parallel when the config carries a pool. The images live
+// in one dense [pins, channels, size, size] buffer in pin-row order, and
+// each query keeps the pin rows of its n sources and its sink, so
+// assembling a query's input and looking up its rows of a per-pin
+// embedding table (DlAttack::attack) share one pin index. After
 // construction the dataset is immutable, so any number of attack,
-// training and serving threads may assemble inputs from it concurrently.
+// training and serving threads may read it concurrently.
 #pragma once
 
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "features/image_features.hpp"
@@ -55,28 +57,47 @@ class QueryDataset {
   /// heap allocation once its buffers have seen the largest query.
   void input_into(std::size_t i, nn::QueryInput& out) const;
 
+  /// Just the vector features of query `i` ([n, vector_dim]), reusing
+  /// `out` in place like `input_into`.
+  void vectors_into(std::size_t i, nn::Tensor& out) const;
+
   /// Weighted fraction of queries whose candidate list holds the truth.
   double candidate_hit_rate() const {
     return split::candidate_hit_rate(queries_);
   }
 
-  /// Image cache entries: the distinct virtual pins some query references
-  /// (for tests/diagnostics).
-  std::size_t cached_images() const { return image_cache_.size(); }
+  /// Distinct virtual pins some query references: the pin rows.
+  std::size_t num_pins() const { return num_pins_; }
+
+  /// Image channels per pin; 0 when the dataset was built without images.
+  int image_channels() const { return image_channels_; }
+
+  /// Pin rows of query `i`: its n candidates' source pins, then its sink
+  /// pin — the order of QueryInput::images. Empty for a query without
+  /// candidates.
+  const int* pin_rows(std::size_t i) const {
+    return pin_rows_.data() + row_offsets_.at(i);
+  }
+
+  /// Copy the images of pin rows [first, first + count) into `out` as
+  /// [count, channels, size, size], reusing its storage in place. Image
+  /// datasets only.
+  void pin_images_into(std::size_t first, std::size_t count,
+                       nn::Tensor& out) const;
 
  private:
-  const std::vector<float>& image_of(int virtual_pin) const {
-    return image_cache_.at(virtual_pin);
-  }
-  /// All virtual pins whose image some query needs, deduplicated, in a
-  /// deterministic order.
-  std::vector<int> referenced_pins() const;
-
   const split::SplitDesign* split_;
   std::vector<split::SinkQuery> queries_;
   std::vector<std::vector<features::VectorFeatures>> vector_features_;
-  std::unique_ptr<features::ImageRenderer> renderer_;
-  std::unordered_map<int, std::vector<float>> image_cache_;
+  std::size_t num_pins_ = 0;
+  /// Every query's pin rows back to back; query i's start at
+  /// row_offsets_[i].
+  std::vector<int> pin_rows_;
+  std::vector<std::size_t> row_offsets_;
+  int image_channels_ = 0;
+  int image_size_ = 0;
+  /// [num_pins_, image_channels_, image_size_, image_size_], row order.
+  std::vector<float> pin_images_;
 };
 
 }  // namespace sma::attack

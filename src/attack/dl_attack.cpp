@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "attack/checkpoint.hpp"
 #include "nn/train_step.hpp"
@@ -27,18 +29,56 @@ struct Ref {
 }  // namespace
 
 Selection select_one(nn::AttackNet& net, const QueryDataset& dataset,
-                     std::size_t i, nn::QueryInput& input) {
+                     std::size_t i, nn::QueryInput& input,
+                     const nn::Tensor* embeddings) {
   const split::SinkQuery& query = dataset.query(i);
   Selection out;
   out.sink_fragment = query.sink_fragment;
   out.num_sinks = query.num_sinks;
   if (query.candidates.empty()) return out;
-  dataset.input_into(i, input);
   // Scores live in the net's activation arena — read in place.
-  const int predicted = nn::predict(net.forward(input));
+  int predicted = 0;
+  if (embeddings != nullptr) {
+    dataset.vectors_into(i, input.vec);
+    predicted = nn::predict(
+        net.head(input.vec, embeddings, dataset.pin_rows(i)));
+  } else {
+    dataset.input_into(i, input);
+    predicted = nn::predict(net.forward(input));
+  }
   out.chosen_source = query.candidates[predicted].source_fragment;
   out.correct = query.candidates[predicted].positive;
   return out;
+}
+
+nn::Tensor embed_pins(const std::vector<nn::AttackNet*>& nets,
+                      const QueryDataset& dataset,
+                      runtime::ThreadPool* pool) {
+  const std::size_t pins = dataset.num_pins();
+  SMA_TRACE_SPAN_V("attack", "embed_pins", pins);
+  if (pins == 0) return nn::Tensor();
+  const std::size_t h = static_cast<std::size_t>(nets.front()->config().hidden);
+  std::size_t batch = 1;
+  for (std::size_t i = 0; i < dataset.num_queries(); ++i) {
+    batch = std::max(batch, dataset.query(i).candidates.size() + 1);
+  }
+  nn::Tensor embeddings({static_cast<int>(pins), static_cast<int>(h)});
+  const std::size_t slice = (pins + nets.size() - 1) / nets.size();
+  runtime::TaskGroup group(pool);
+  for (std::size_t c = 0; c < nets.size(); ++c) {
+    group.run([c, slice, pins, batch, h, &nets, &dataset, &embeddings] {
+      nn::Tensor images;  // reused across this net's batches
+      const std::size_t hi = std::min(pins, (c + 1) * slice);
+      for (std::size_t lo = c * slice; lo < hi; lo += batch) {
+        const std::size_t count = std::min(batch, hi - lo);
+        dataset.pin_images_into(lo, count, images);
+        std::memcpy(embeddings.data() + lo * h, nets[c]->trunk(images).data(),
+                    sizeof(float) * count * h);
+      }
+    });
+  }
+  group.wait();
+  return embeddings;
 }
 
 DlAttack::DlAttack(const nn::NetConfig& net_config)
@@ -361,7 +401,15 @@ AttackResult DlAttack::attack(const QueryDataset& dataset,
   SMA_COUNT("attack.calls");
   util::Timer timer;
   AttackResult result;
-  result.attack_name = net_.config().use_images ? "dl(vec+img)" : "dl(vec)";
+  const nn::NetConfig& config = net_.config();
+  result.attack_name = config.use_images ? "dl(vec+img)" : "dl(vec)";
+  if (config.use_images && dataset.image_channels() != config.image_channels) {
+    throw std::invalid_argument(
+        "DlAttack::attack: the net reads " +
+        std::to_string(config.image_channels) +
+        "-channel pin images, the dataset holds " +
+        std::to_string(dataset.image_channels()));
+  }
   const std::size_t n = dataset.num_queries();
   if (n == 0) return result;
   result.selections.assign(n, Selection{});
@@ -375,17 +423,26 @@ AttackResult DlAttack::attack(const QueryDataset& dataset,
   // the bound can never be satisfied.
   const std::size_t cap = replicas_->max_replicas();
   if (cap > 0) num_chunks = std::min(num_chunks, cap);
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
   ReplicaLease lease = replicas_->lease(num_chunks, net_);
+
+  // Image nets first embed every pin of the dataset once. Built fresh
+  // per call: the weights may change between calls (validation during
+  // training).
+  nn::Tensor embeddings;
+  if (config.use_images) embeddings = embed_pins(lease.nets(), dataset, pool);
+
+  const nn::Tensor* table = config.use_images ? &embeddings : nullptr;
+  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
   runtime::TaskGroup group(pool);
   for (std::size_t c = 0; c < num_chunks; ++c) {
-    group.run([c, chunk, n, &lease, &dataset, &result] {
+    group.run([c, chunk, n, table, &lease, &dataset, &result] {
       const std::size_t lo = c * chunk;
       const std::size_t hi = std::min(n, lo + chunk);
       SMA_TRACE_SPAN_V("attack", "chunk", hi - lo);
       nn::QueryInput input;  // reused across this worker's chunk
       for (std::size_t i = lo; i < hi; ++i) {
-        result.selections[i] = select_one(*lease.nets()[c], dataset, i, input);
+        result.selections[i] =
+            select_one(*lease.nets()[c], dataset, i, input, table);
       }
     });
   }

@@ -10,9 +10,12 @@
 // sharing the master's weights — `batch_size` lanes per step (1 for the
 // paper's per-query SGD), and reduces lane gradients into one fused
 // TrainStep reduce+Adam pass (nn/train_step.hpp) in lane order, with no
-// weight copy back to the lanes. Inference partitions queries over
-// pinned shared-weight replicas (ReplicaSet) and scores each with one
-// batch-1 forward (`select_one`); each selection lands in its own slot.
+// weight copy back to the lanes. Inference leases pinned shared-weight
+// replicas (ReplicaSet). An image net first embeds every distinct pin of
+// the dataset once (AttackNet::trunk) into a per-call table; then the
+// replicas partition the queries and score each with the net's head over
+// the table's rows (`select_one`), so the conv trunk runs once per pin,
+// not once per candidate slot. Each selection lands in its own slot.
 // A pool only runs lanes and chunks concurrently: the code path, the
 // lane structure and therefore every floating-point sum depend on the
 // config alone, so any thread count, including none, produces
@@ -85,14 +88,30 @@ struct TrainStats {
   long checkpoints_saved = 0;
 };
 
-/// Score query `i` of `dataset` with one batch-1 forward on `net` and pick
-/// the highest-scoring candidate (Eq. 2). An empty candidate list yields
-/// the no-op choice without touching the net. `input` is the caller's
-/// reusable assembly buffer, so a worker that keeps one across queries
-/// assembles without heap traffic once warm. The one query-to-selection
-/// function: attack() workers and the serving loop both call it.
+/// Score query `i` of `dataset` on `net` and pick the highest-scoring
+/// candidate (Eq. 2). Without `embeddings` this is one batch-1 forward
+/// over the query's n + 1 images; with them (the dataset's per-pin trunk
+/// output, [num_pins, hidden], row order of `QueryDataset::pin_rows`) it
+/// runs the net's head alone on the query's rows — the same score bytes.
+/// An empty candidate list yields the no-op choice without touching the
+/// net. `input` is the caller's reusable assembly buffer, so a worker
+/// that keeps one across queries assembles without heap traffic once
+/// warm. The one query-to-selection function: attack() workers and the
+/// serving loop both call it.
 Selection select_one(nn::AttackNet& net, const QueryDataset& dataset,
-                     std::size_t i, nn::QueryInput& input);
+                     std::size_t i, nn::QueryInput& input,
+                     const nn::Tensor* embeddings = nullptr);
+
+/// The per-pin embedding table of `dataset` for an image net: row r is
+/// `trunk` of pin row r's image, [num_pins, hidden]. `nets` (replicas
+/// sharing one net's weights, each used by one task at a time) embed
+/// disjoint contiguous slices of the rows, in batches of at most the
+/// dataset's largest n + 1 images, so no net's arena grows past what a
+/// forward over the largest query needs. `trunk` is image-local, so the
+/// table's bytes depend on neither the net count nor the pool.
+nn::Tensor embed_pins(const std::vector<nn::AttackNet*>& nets,
+                      const QueryDataset& dataset,
+                      runtime::ThreadPool* pool = nullptr);
 
 class DlAttack {
  public:
@@ -112,12 +131,19 @@ class DlAttack {
 
   /// Run inference over every query of `dataset`. The shared network is
   /// never used directly: `pool`'s threads plus the caller each run one
-  /// chunk of queries on a *pinned* replica leased from the ReplicaSet
+  /// chunk of work on a *pinned* replica leased from the ReplicaSet
   /// (shared read-only weights, private activation caches; no per-call
   /// clone), one replica for a serial call — so concurrent `attack` calls
   /// on one DlAttack are safe, with or without a pool, and repeated calls
-  /// reuse the same replicas. Each query is one `select_one` call, so
-  /// selections and CCR do not depend on the thread count.
+  /// reuse the same replicas. An image net works in two phases under
+  /// that one lease: the replicas embed disjoint slices of the dataset's
+  /// pins into a per-call embedding table (trace span attack/embed_pins),
+  /// then score disjoint chunks of queries against it. Each query is one
+  /// `select_one` call and each table row one pin's trunk output, so
+  /// selections and CCR do not depend on the thread count, and they
+  /// equal a batch-1 forward per query. Throws std::invalid_argument,
+  /// before any work, when an image net meets a dataset whose images
+  /// have another channel count (or none).
   AttackResult attack(const QueryDataset& dataset,
                       runtime::ThreadPool* pool = nullptr);
 

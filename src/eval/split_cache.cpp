@@ -5,8 +5,6 @@
 #include <cstring>
 
 #include "layout/def_io.hpp"
-#include "place/detailed_placer.hpp"
-#include "place/global_placer.hpp"
 #include "tech/cell_library.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault.hpp"
@@ -82,7 +80,10 @@ layout::Design decode_entry(const std::string& payload, std::uint64_t key,
 std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
                                std::uint64_t seed) {
   util::ContentHash h;
-  h.add("sma-design-v2");
+  // The tag versions the flow's code. The placers take only a seed:
+  // their schedules are constants of the algorithm (place/*.hpp) and,
+  // like any change to placement code, editing one must bump the tag.
+  h.add("sma-design-v3");
 
   h.add(profile.name)
       .add(profile.num_inputs)
@@ -94,28 +95,8 @@ std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
 
   h.add(seed).add(layout::kUtilization);
 
-  // The flow runs every stage at its default config; hashing the defaults
-  // and the schedule constants means editing any of them invalidates the
-  // disk tier's entries.
-  const place::GlobalPlacerConfig gp;
-  h.add(gp.rounds)
-      .add(gp.iterations_per_round)
-      .add(gp.pull)
-      .add(gp.refine_iterations)
-      .add(gp.refine_pull)
-      .add(gp.seed)
-      // Lane count fixes how the centroid sums associate, so it shapes
-      // the layout. The thread count does NOT (bit-identical contract)
-      // and is deliberately absent from this digest.
-      .add(place::kRelaxLanes);
-
-  const place::DetailedPlacerConfig dp;
-  h.add(dp.passes)
-      .add(dp.candidates)
-      .add(dp.max_row_distance)
-      .add(dp.max_x_distance)
-      .add(dp.seed);
-
+  // The router and grid run at their default configs; hashing the
+  // defaults means editing one invalidates the disk tier's entries.
   const route::RoutingGrid::Config grid;
   h.add(grid.gcell_size)
       .add(grid.wrongway_capacity)

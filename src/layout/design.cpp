@@ -29,9 +29,10 @@ Design run_flow(netlist::Netlist netlist, const FlowConfig& config,
 
   {
     obs::TimedSpan span("flow", "global_place");
-    place::GlobalPlacerConfig global;
-    global.seed ^= config.seed * 0x9e3779b97f4a7c15ULL;
-    run_global_placement(*design.placement, global, pool);
+    run_global_placement(
+        *design.placement,
+        place::kGlobalPlacementSeed ^ (config.seed * 0x9e3779b97f4a7c15ULL),
+        pool);
     design.timings.global_place_seconds = span.stop();
   }
 
@@ -43,9 +44,9 @@ Design run_flow(netlist::Netlist netlist, const FlowConfig& config,
 
   {
     obs::TimedSpan span("flow", "detailed_place");
-    place::DetailedPlacerConfig detailed;
-    detailed.seed ^= config.seed * 0xbf58476d1ce4e5b9ULL;
-    run_detailed_placement(*design.placement, detailed);
+    run_detailed_placement(
+        *design.placement,
+        place::kDetailedPlacementSeed ^ (config.seed * 0xbf58476d1ce4e5b9ULL));
     design.timings.detailed_place_seconds = span.stop();
   }
 

@@ -92,18 +92,66 @@ AttackNet::AttackNet(const NetConfig& config) : config_(config) {
   demb_slot_ = arena_->add_tensor();
 }
 
-const Tensor& AttackNet::forward(const QueryInput& input) {
-  const Tensor& vec = input.vec;
-  const Tensor& images = input.images;
-  if (vec.shape().size() != 2 || vec.dim(1) != config_.vector_dim) {
+namespace {
+
+/// Rows of a well-formed vector-feature input; throws otherwise.
+int query_rows(const Tensor& vec, int vector_dim) {
+  if (vec.shape().size() != 2 || vec.dim(1) != vector_dim) {
     throw std::invalid_argument("bad vector input " + vec.shape_string());
   }
-  n_ = vec.dim(0);
-  const int h = config_.hidden;
+  return vec.dim(0);
+}
 
-  // Layer outputs are arena slots: the chains below thread references
-  // through them without copying (each layer's slot stays valid until
-  // that layer's next call).
+}  // namespace
+
+const Tensor& AttackNet::forward(const QueryInput& input) {
+  if (!config_.use_images) return head(input.vec, nullptr, nullptr);
+  const int n = query_rows(input.vec, config_.vector_dim);
+  if (input.images.shape().size() != 4 || input.images.dim(0) != n + 1) {
+    throw std::invalid_argument("bad image input " +
+                                input.images.shape_string());
+  }
+  if (image_rows_.size() < static_cast<std::size_t>(n) + 1) {
+    image_rows_.resize(static_cast<std::size_t>(n) + 1);
+    for (std::size_t r = 0; r < image_rows_.size(); ++r) {
+      image_rows_[r] = static_cast<int>(r);
+    }
+  }
+  return head(input.vec, &trunk(input.images), image_rows_.data());
+}
+
+const Tensor& AttackNet::trunk(const Tensor& images) {
+  if (!config_.use_images || images.shape().size() != 4 ||
+      images.dim(1) != config_.image_channels) {
+    throw std::invalid_argument("bad image input " + images.shape_string());
+  }
+  // --- shared conv trunk over the stacked images. One layout contract
+  // binds the trunk: the input is the first row-major seam (conv1's pack
+  // path reads NCHW natively), the trunk's activations then stay
+  // channel-major (each layer's tag travels with its slot), and
+  // GlobalAvgPool is the second and last seam, reducing to a row-major
+  // [rows, h] matrix for the fc head at zero conversion cost. Nothing
+  // between the seams may assume row-major storage.
+  //
+  // Layer outputs are arena slots: the chain threads references through
+  // them without copying (each layer's slot stays valid until that
+  // layer's next call).
+  const Tensor* x = &images;
+  for (Conv2d& conv : convs_) x = &conv.forward(*x);
+  x = &pool_.forward(*x);
+#ifndef NDEBUG
+  if (x->layout() != Layout::kRowMajor) {
+    throw std::logic_error("pool output must be the row-major fc seam");
+  }
+#endif
+  x = &fc3_->forward(*x);
+  return fc4_->forward(*x);  // [rows, h]
+}
+
+const Tensor& AttackNet::head(const Tensor& vec, const Tensor* embeddings,
+                              const int* rows) {
+  n_ = query_rows(vec, config_.vector_dim);
+  const int h = config_.hidden;
 
   // --- vector branch
   const Tensor* v = &fc1_->forward(vec);
@@ -111,38 +159,19 @@ const Tensor& AttackNet::forward(const QueryInput& input) {
 
   const Tensor* merged_in = nullptr;
   if (config_.use_images) {
-    if (images.shape().size() != 4 || images.dim(0) != n_ + 1 ||
-        images.dim(1) != config_.image_channels) {
-      throw std::invalid_argument("bad image input " +
-                                  images.shape_string());
+    if (embeddings == nullptr || rows == nullptr ||
+        embeddings->shape().size() != 2 || embeddings->dim(1) != h) {
+      throw std::invalid_argument("head: image net needs embedding rows");
     }
-    // --- shared conv trunk over the n source images + 1 sink image,
-    // stacked. One layout contract binds the trunk: the dataset input is
-    // the first row-major seam (conv1's pack path reads NCHW natively),
-    // the trunk's activations then stay channel-major
-    // (each layer's tag travels with its slot), and GlobalAvgPool is the
-    // second and last seam, reducing to a row-major [n + 1, h] matrix for
-    // the fc head at zero conversion cost. Nothing between the seams may
-    // assume row-major storage.
-    const Tensor* x = &images;
-    for (Conv2d& conv : convs_) x = &conv.forward(*x);
-    x = &pool_.forward(*x);
-#ifndef NDEBUG
-    if (x->layout() != Layout::kRowMajor) {
-      throw std::logic_error("pool output must be the row-major fc seam");
-    }
-#endif
-    x = &fc3_->forward(*x);
-    x = &fc4_->forward(*x);  // [n + 1, h]
-
     // --- fuse each source embedding with the (shared) sink embedding
     // (full overwrite: two memcpys cover each row)
     Tensor& fused =
         arena_->tensor(fused_slot_, {n_, 2 * h}, Arena::Fill::kNone);
-    const float* sink_row = x->data() + static_cast<std::size_t>(n_) * h;
+    const float* sink_row =
+        embeddings->data() + static_cast<std::size_t>(rows[n_]) * h;
     for (int j = 0; j < n_; ++j) {
       std::memcpy(fused.data() + static_cast<std::size_t>(j) * 2 * h,
-                  x->data() + static_cast<std::size_t>(j) * h,
+                  embeddings->data() + static_cast<std::size_t>(rows[j]) * h,
                   sizeof(float) * h);
       std::memcpy(fused.data() + static_cast<std::size_t>(j) * 2 * h + h,
                   sink_row, sizeof(float) * h);

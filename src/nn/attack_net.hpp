@@ -8,9 +8,17 @@
 // one score per candidate VPP — or two scores per candidate when
 // configured as the two-class ablation baseline.
 //
-// One forward call processes one sink-fragment query: all n candidate
-// VPPs of that sink, exactly as in the paper's batch definition. Training
-// and inference (attack() workers, the serving loop) run the same pass.
+// The pass splits at the image embeddings. `trunk` maps pin images to
+// one embedding row each (conv stack, GAP, fc3, fc4); it is image-local,
+// so a pin's row depends only on the weights and that pin's image.
+// `head` scores one sink-fragment query — all n candidate VPPs of that
+// sink, the paper's batch definition — from its vector features and the
+// embedding rows of its n source pins and its sink pin (vector branch,
+// sink/source fusion, fc5_img, merged trunk, fc6, fc7). `forward` is
+// trunk then head over one query's n + 1 images: training and the
+// serving loop run it. DlAttack::attack embeds each distinct pin of a
+// dataset once with `trunk` and scores every query with `head` alone;
+// both call shapes produce the same score bytes (see `head`).
 //
 // Activation-layout contract: the image branch binds ONE layout across
 // the conv trunk — the dataset input and the GlobalAvgPool output are
@@ -77,14 +85,36 @@ class AttackNet {
 
   const NetConfig& config() const { return config_; }
 
-  /// Scores [n] (or [n, 2] in two-class mode). The returned reference
-  /// points into this network's activation arena: it stays valid (and
-  /// unchanged) until the next forward call on this same net. Callers
-  /// that need the scores longer must copy.
+  /// Scores [n] (or [n, 2] in two-class mode): `trunk` over the query's
+  /// n + 1 images, then `head` over its rows in image order. The
+  /// returned reference points into this network's activation arena: it
+  /// stays valid (and unchanged) until the next forward or head call on
+  /// this same net. Callers that need the scores longer must copy.
   const Tensor& forward(const QueryInput& input);
 
+  /// The image trunk: pin images [rows, channels, size, size] to
+  /// embeddings [rows, hidden], one row per image. Row r depends only on
+  /// the weights and image r — never on which or how many other images
+  /// share the call (the GEMM k-chains do not depend on the row count,
+  /// nn/gemm.hpp) — so a pin embedded in any batch yields the same
+  /// bytes. The reference points into this net's arena and stays valid
+  /// until the next trunk or forward call. Image nets only.
+  const Tensor& trunk(const Tensor& images);
+
+  /// The head: scores for one query from its vector features [n,
+  /// vector_dim] and, on image nets, `rows`: n + 1 row indices into
+  /// `embeddings` ([*, hidden] trunk output) naming the n source pins and
+  /// then the sink pin (the order of QueryInput::images). The fused rows
+  /// are byte copies of those embedding rows, so the scores equal
+  /// `forward`'s whenever the rows equal the trunk's output for the
+  /// query's images. Vector-only nets ignore `embeddings` and `rows`
+  /// (pass nullptr). Same lifetime as `forward`'s result.
+  const Tensor& head(const Tensor& vec, const Tensor* embeddings,
+                     const int* rows);
+
   /// Backpropagate d(loss)/d(scores) of the last `forward`; accumulates
-  /// parameter gradients.
+  /// parameter gradients. Only valid after `forward` (training never
+  /// calls `head` on its own).
   void backward(const Tensor& dscores);
 
   /// This network's activation arena (stats: bytes pinned, allocations).
@@ -156,6 +186,9 @@ class AttackNet {
   Arena::Slot dv_slot_ = 0;
   Arena::Slot dimg_slot_ = 0;
   Arena::Slot demb_slot_ = 0;
+
+  /// Row indices 0..n of forward's own trunk output (grow-only).
+  std::vector<int> image_rows_;
 
   // Cached batch size for backward.
   int n_ = 0;

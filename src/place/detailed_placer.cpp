@@ -31,11 +31,11 @@ std::vector<NetId> nets_of(const netlist::Netlist& nl, CellId cell) {
 }  // namespace
 
 std::int64_t run_detailed_placement(Placement& placement,
-                                    const DetailedPlacerConfig& config) {
+                                    std::uint64_t seed) {
   const netlist::Netlist& nl = placement.netlist();
   if (nl.num_cells() < 2) return 0;
 
-  util::Pcg32 rng(config.seed, 0xd7a1);
+  util::Pcg32 rng(seed, 0xd7a1);
 
   // Bucket same-width cells: only equal-width swaps keep legality trivially.
   std::vector<std::vector<CellId>> by_width;
@@ -56,21 +56,21 @@ std::int64_t run_detailed_placement(Placement& placement,
   const Floorplan& fp = placement.floorplan();
   std::int64_t total_gain = 0;
 
-  for (int pass = 0; pass < config.passes; ++pass) {
+  for (int pass = 0; pass < kSwapPasses; ++pass) {
     for (std::size_t bucket = 0; bucket < by_width.size(); ++bucket) {
       const auto& cells = by_width[bucket];
       if (cells.size() < 2) continue;
       for (CellId a : cells) {
         std::vector<NetId> nets_a = nets_of(nl, a);
-        for (int k = 0; k < config.candidates; ++k) {
+        for (int k = 0; k < kSwapCandidates; ++k) {
           CellId b = cells[rng.next_below(
               static_cast<std::uint32_t>(cells.size()))];
           if (a == b) continue;
           const util::Point pa = placement.cell_origin(a);
           const util::Point pb = placement.cell_origin(b);
           if (std::abs(pa.y - pb.y) >
-                  config.max_row_distance * fp.row_height ||
-              std::abs(pa.x - pb.x) > config.max_x_distance) {
+                  kMaxSwapRowDistance * fp.row_height ||
+              std::abs(pa.x - pb.x) > kMaxSwapXDistance) {
             continue;
           }
 

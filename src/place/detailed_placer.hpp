@@ -11,18 +11,20 @@
 
 namespace sma::place {
 
-struct DetailedPlacerConfig {
-  int passes = 2;
-  /// Candidate partners per cell and pass.
-  int candidates = 6;
-  /// Swap partners are drawn within this many rows / this many microns.
-  int max_row_distance = 3;
-  std::int64_t max_x_distance = 6000;
-  std::uint64_t seed = 11;
-};
+// The swap schedule: part of the algorithm, like the global placer's.
+
+/// Passes over every same-width bucket.
+inline constexpr int kSwapPasses = 2;
+/// Candidate partners per cell and pass.
+inline constexpr int kSwapCandidates = 6;
+/// Swap partners are drawn within this many rows / this many DBU.
+inline constexpr int kMaxSwapRowDistance = 3;
+inline constexpr std::int64_t kMaxSwapXDistance = 6000;
+/// Seed of a standalone run; the flow mixes its own seed into it.
+inline constexpr std::uint64_t kDetailedPlacementSeed = 11;
 
 /// Returns the total HPWL improvement (non-negative).
-std::int64_t run_detailed_placement(Placement& placement,
-                                    const DetailedPlacerConfig& config = {});
+std::int64_t run_detailed_placement(
+    Placement& placement, std::uint64_t seed = kDetailedPlacementSeed);
 
 }  // namespace sma::place

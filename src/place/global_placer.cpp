@@ -169,14 +169,13 @@ void spread_by_rank(const Placement& placement, std::vector<Vec2>& pos,
 
 }  // namespace
 
-void run_global_placement(Placement& placement,
-                          const GlobalPlacerConfig& config,
+void run_global_placement(Placement& placement, std::uint64_t seed,
                           runtime::ThreadPool* pool) {
   const netlist::Netlist& nl = placement.netlist();
   const Floorplan& fp = placement.floorplan();
   if (nl.num_cells() == 0) return;
 
-  util::Pcg32 rng(config.seed, 0x91ac);
+  util::Pcg32 rng(seed, 0x91ac);
   const double die_w = static_cast<double>(fp.die.width());
   const double die_h = static_cast<double>(fp.die.height());
 
@@ -204,14 +203,13 @@ void run_global_placement(Placement& placement,
   // order-preserving spreading (restores uniform density). Early rounds
   // relax aggressively to discover global structure; later rounds make
   // smaller moves to refine it — a Kraftwerk-like schedule.
-  for (int round = 0; round < config.rounds; ++round) {
+  static_assert(kGlobalRounds > 1, "the schedule anneals across rounds");
+  for (int round = 0; round < kGlobalRounds; ++round) {
     SMA_TRACE_SPAN_V("place", "round", round);
-    const double t = config.rounds <= 1
-                         ? 0.0
-                         : static_cast<double>(round) / (config.rounds - 1);
-    const double pull = config.pull * (1.0 - 0.6 * t);
+    const double t = static_cast<double>(round) / (kGlobalRounds - 1);
+    const double pull = kPull * (1.0 - 0.6 * t);
     const int iters =
-        std::max(2, static_cast<int>(config.iterations_per_round * (1.0 - 0.5 * t)));
+        std::max(2, static_cast<int>(kRelaxIterations * (1.0 - 0.5 * t)));
     for (int iter = 0; iter < iters; ++iter) {
       relax(nl, placement, pos, pull, scratch, pool);
       for (CellId c = 0; c < nl.num_cells(); ++c) {
@@ -223,8 +221,8 @@ void run_global_placement(Placement& placement,
   }
 
   // Final gentle relaxation without re-collapsing.
-  for (int iter = 0; iter < config.refine_iterations; ++iter) {
-    relax(nl, placement, pos, config.refine_pull, scratch, pool);
+  for (int iter = 0; iter < kRefineIterations; ++iter) {
+    relax(nl, placement, pos, kRefinePull, scratch, pool);
     for (CellId c = 0; c < nl.num_cells(); ++c) {
       pos[c].x = std::clamp(pos[c].x, 0.0, die_w - 1.0);
       pos[c].y = std::clamp(pos[c].y, 0.0, die_h - 1.0);

@@ -26,26 +26,28 @@ namespace sma::place {
 /// serial.
 inline constexpr int kRelaxLanes = 8;
 
-struct GlobalPlacerConfig {
-  /// Relax/spread rounds (Kraftwerk-like alternation).
-  int rounds = 8;
-  /// Quadratic-relaxation iterations in the first round (later rounds
-  /// anneal down).
-  int iterations_per_round = 16;
-  /// Step fraction toward the connectivity centroid per iteration.
-  double pull = 0.8;
-  /// Gentle post-spreading refinement.
-  int refine_iterations = 4;
-  double refine_pull = 0.2;
-  std::uint64_t seed = 7;
-};
+// The schedule. Like kRelaxLanes these are part of the algorithm: the
+// flow runs one placement per (netlist, seed), so none is a setting.
+
+/// Relax/spread rounds (Kraftwerk-like alternation).
+inline constexpr int kGlobalRounds = 8;
+/// Quadratic-relaxation iterations in the first round (later rounds
+/// anneal down).
+inline constexpr int kRelaxIterations = 16;
+/// Step fraction toward the connectivity centroid per iteration.
+inline constexpr double kPull = 0.8;
+/// Gentle post-spreading refinement: iterations and step fraction.
+inline constexpr int kRefineIterations = 4;
+inline constexpr double kRefinePull = 0.2;
+/// Seed of a standalone run; the flow mixes its own seed into it.
+inline constexpr std::uint64_t kGlobalPlacementSeed = 7;
 
 /// Runs global placement in-place; positions are continuous (not yet
 /// legalized) but inside the die. A non-null `pool` parallelizes the
 /// relaxation lanes and the spreading's per-band sorts; the result is
 /// bit-identical at any thread count.
 void run_global_placement(Placement& placement,
-                          const GlobalPlacerConfig& config = {},
+                          std::uint64_t seed = kGlobalPlacementSeed,
                           runtime::ThreadPool* pool = nullptr);
 
 }  // namespace sma::place

@@ -442,36 +442,57 @@ TEST(ArenaTraining, GoldenDigestsAtLanes1And8) {
   }
 }
 
+// Repeated attack() calls on warm pinned replicas add no arena growth,
+// for a vector-only net and for an image net, whose per-call pin
+// embedding batches run on the same replicas as the query scoring.
 TEST(ArenaServing, PinnedReplicasStayAllocFreeAcrossAttacks) {
   eval::PreparedSplit prepared = tiny_prepared();
-  DatasetConfig dataset_config;
-  dataset_config.candidates.max_candidates = 6;
-  dataset_config.build_images = false;
+  for (const bool images : {false, true}) {
+    SCOPED_TRACE(images ? "image net" : "vector-only net");
+    DatasetConfig dataset_config;
+    dataset_config.candidates.max_candidates = 6;
+    dataset_config.build_images = images;
+    dataset_config.images.size = 9;
+    dataset_config.images.pixel_sizes = {200, 400};
+    nn::NetConfig net_config = tiny_net_config();
+    if (images) {
+      net_config.use_images = true;
+      net_config.image_channels = 2;
+      net_config.conv_channels = {4, 6, 8, 10};
+      net_config.image_fc = 16;
+      net_config.fc6_width = 8;
+    }
 
-  TrainConfig train_config;
-  train_config.epochs = 2;
-  train_config.batch_size = 4;
+    TrainConfig train_config;
+    train_config.epochs = 2;
+    train_config.batch_size = 4;
+    train_config.max_queries_per_design = 60;
 
-  std::vector<QueryDataset> training;
-  training.emplace_back(prepared.split.get(), dataset_config);
-  std::vector<QueryDataset> validation;
-  DlAttack dl(tiny_net_config());
-  runtime::ThreadPool pool(4);
-  dl.train(training, validation, train_config, &pool);
+    std::vector<QueryDataset> training;
+    training.emplace_back(prepared.split.get(), dataset_config);
+    std::vector<QueryDataset> validation;
+    DlAttack dl(net_config);
+    runtime::ThreadPool pool(4);
+    dl.train(training, validation, train_config, &pool);
 
-  QueryDataset victim(prepared.split.get(), dataset_config);
-  AttackResult first = dl.attack(victim, &pool);
-  // Replica arenas warm on the first pass over the victim...
-  const nn::ArenaStats warm = dl.inference_arena_stats();
-  EXPECT_GT(warm.bytes_pinned, 0u);
-  // ...and later passes over already-seen query shapes add nothing.
-  for (int round = 0; round < 3; ++round) {
-    AttackResult again = dl.attack(victim, &pool);
-    EXPECT_EQ(again.ccr, first.ccr);
+    QueryDataset victim(prepared.split.get(), dataset_config);
+    // Replica arenas warm on the first pooled and serial passes over the
+    // victim (the serial pass runs every query and every pin on replica
+    // 0, which the pooled pass gave only one slice)...
+    const AttackResult first = dl.attack(victim, &pool);
+    EXPECT_EQ(dl.attack(victim).ccr, first.ccr);
+    const nn::ArenaStats warm = dl.inference_arena_stats();
+    EXPECT_GT(warm.bytes_pinned, 0u);
+    // ...and later passes add nothing.
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_EQ(dl.attack(victim, &pool).ccr, first.ccr);
+      EXPECT_EQ(dl.attack(victim).ccr, first.ccr);
+    }
+    const nn::ArenaStats steady = dl.inference_arena_stats();
+    EXPECT_EQ(steady.allocs, warm.allocs)
+        << "pinned replicas allocated on a repeated attack()";
+    EXPECT_EQ(steady.bytes_pinned, warm.bytes_pinned);
   }
-  const nn::ArenaStats steady = dl.inference_arena_stats();
-  EXPECT_EQ(steady.allocs, warm.allocs)
-      << "pinned replicas allocated on a repeated attack()";
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <thread>
 
@@ -224,6 +225,89 @@ TEST(DlAttack, GoldenAttackSelections) {
         << (p == nullptr ? "serial" : "4 threads") << ": got 0x" << std::hex
         << digest;
   }
+}
+
+bool same_bytes(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The per-pin table path and the per-query forward are two call shapes
+// of one trunk and one head. For every query of an image dataset, head
+// scores over the table memcmp-equal AttackNet::forward's, with the
+// table built by one net serially or by four nets on a 4-thread pool,
+// for the softmax and the two-class head; and attack() picks what
+// forward-path select_one picks, serial and pooled.
+TEST(DlAttack, TablePathScoresMatchForwardBitwise) {
+  const test::SmallSplit& split = test::shared_split(3, 400, 14);
+  const QueryDataset dataset(split.split.get(), tiny_image_dataset_config());
+  runtime::ThreadPool pool(4);
+  for (const bool two_class : {false, true}) {
+    SCOPED_TRACE(two_class ? "two-class head" : "softmax head");
+    nn::NetConfig config = tiny_image_net_config();
+    config.two_class = two_class;
+    DlAttack dl(config);
+    std::vector<Selection> want(dataset.num_queries());
+    {
+      ReplicaLease lease = dl.replicas().lease(4, dl.net());
+      const std::vector<nn::AttackNet*>& nets = lease.nets();
+      const nn::Tensor serial = embed_pins({nets[0]}, dataset);
+      const nn::Tensor pooled = embed_pins(nets, dataset, &pool);
+      ASSERT_EQ(serial.shape(),
+                (std::vector<int>{static_cast<int>(dataset.num_pins()),
+                                  config.hidden}));
+      ASSERT_TRUE(same_bytes(serial, pooled));
+
+      nn::AttackNet& net = *nets[1];
+      nn::QueryInput input;
+      std::size_t live = 0;
+      for (std::size_t i = 0; i < dataset.num_queries(); ++i) {
+        want[i] = select_one(net, dataset, i, input);
+        if (dataset.query(i).candidates.empty()) continue;
+        ++live;
+        dataset.input_into(i, input);
+        const nn::Tensor from_forward = net.forward(input);
+        for (const nn::Tensor* table : {&serial, &pooled}) {
+          ASSERT_TRUE(same_bytes(
+              net.head(input.vec, table, dataset.pin_rows(i)), from_forward))
+              << "query " << i;
+        }
+      }
+      ASSERT_GT(live, 0u);
+    }
+    for (runtime::ThreadPool* p : {static_cast<runtime::ThreadPool*>(nullptr),
+                                   &pool}) {
+      const AttackResult got = dl.attack(dataset, p);
+      ASSERT_EQ(got.selections.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.selections[i].chosen_source, want[i].chosen_source)
+            << "query " << i;
+        EXPECT_EQ(got.selections[i].correct, want[i].correct);
+      }
+    }
+  }
+}
+
+// An image net cannot score a dataset without matching pin images:
+// attack() says so with std::invalid_argument before it leases a replica
+// or embeds a pin — the error ServeLoop::submit raises for the same pair.
+TEST(DlAttack, ImageNetRejectsDatasetWithoutMatchingImages) {
+  const test::SmallSplit& split = test::shared_split(3, 400, 14);
+  DatasetConfig no_images = tiny_image_dataset_config();
+  no_images.build_images = false;
+  DatasetConfig three_channels = tiny_image_dataset_config();
+  three_channels.images.pixel_sizes = {100, 200, 400};
+  DlAttack dl(tiny_image_net_config());
+  runtime::ThreadPool pool(2);
+  for (const DatasetConfig& config : {no_images, three_channels}) {
+    const QueryDataset dataset(split.split.get(), config);
+    for (runtime::ThreadPool* p :
+         {static_cast<runtime::ThreadPool*>(nullptr), &pool}) {
+      EXPECT_THROW(dl.attack(dataset, p), std::invalid_argument);
+    }
+  }
+  EXPECT_EQ(dl.replica_lease_stats().leases, 0);
+  EXPECT_EQ(dl.inference_clones(), 0);
 }
 
 void expect_same_selections(const AttackResult& got,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "obs/metrics.hpp"
@@ -59,10 +60,10 @@ TEST_F(DatasetTest, ImageCachingSharesVirtualPins) {
     for (const split::Vpp& vpp : query.candidates) pins.insert(vpp.source_vp);
     pins.insert(s_->split->fragment(query.sink_fragment).virtual_pins.front());
   }
-  EXPECT_EQ(dataset.cached_images(), pins.size());
-  // Cache must be smaller than the naive count (pins are shared).
-  EXPECT_LT(dataset.cached_images(), total_images);
-  EXPECT_GT(dataset.cached_images(), 0u);
+  EXPECT_EQ(dataset.num_pins(), pins.size());
+  // Fewer pin rows than image slots (pins are shared).
+  EXPECT_LT(dataset.num_pins(), total_images);
+  EXPECT_GT(dataset.num_pins(), 0u);
 
   // Assembling every input afterwards renders nothing.
   obs::Counter& rendered =
@@ -70,7 +71,40 @@ TEST_F(DatasetTest, ImageCachingSharesVirtualPins) {
   const std::uint64_t rendered_before = rendered.value();
   for (std::size_t i = 0; i < dataset.num_queries(); ++i) dataset.input(i);
   EXPECT_EQ(rendered.value(), rendered_before);
-  EXPECT_EQ(dataset.cached_images(), pins.size());
+  EXPECT_EQ(dataset.num_pins(), pins.size());
+}
+
+// The dense pin-image buffer and the per-query pin rows reproduce the
+// renderer's image of each slot's own pin: sources in candidate order,
+// then the sink fragment's first virtual pin.
+TEST_F(DatasetTest, PinRowsAddressEachSlotsOwnImage) {
+  const DatasetConfig config = small_config();
+  QueryDataset dataset(s_->split.get(), config);
+  const features::ImageRenderer renderer(s_->split.get(), config.images);
+  const std::size_t per_image = config.images.pixels_per_image();
+  nn::Tensor batch;
+  for (std::size_t i = 0; i < dataset.num_queries(); ++i) {
+    const split::SinkQuery& query = dataset.query(i);
+    if (query.candidates.empty()) continue;
+    const nn::QueryInput input = dataset.input(i);
+    const int* rows = dataset.pin_rows(i);
+    const std::size_t n = query.candidates.size();
+    for (std::size_t j = 0; j <= n; ++j) {
+      const int pin =
+          j < n ? query.candidates[j].source_vp
+                : s_->split->fragment(query.sink_fragment).virtual_pins.front();
+      const std::vector<float> want = renderer.render(pin);
+      ASSERT_EQ(std::memcmp(input.images.data() + j * per_image, want.data(),
+                            per_image * sizeof(float)),
+                0)
+          << "query " << i << " slot " << j;
+      dataset.pin_images_into(static_cast<std::size_t>(rows[j]), 1, batch);
+      ASSERT_EQ(std::memcmp(batch.data(), want.data(),
+                            per_image * sizeof(float)),
+                0)
+          << "query " << i << " row " << rows[j];
+    }
+  }
 }
 
 TEST_F(DatasetTest, TargetsMatchQueries) {

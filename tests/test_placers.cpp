@@ -76,7 +76,7 @@ TEST(GlobalPlacer, ParallelBitIdenticalToSerial) {
     for (int threads : {2, 4}) {
       runtime::ThreadPool pool(threads - 1);
       Placement parallel(&nl, fp);
-      run_global_placement(parallel, {}, &pool);
+      run_global_placement(parallel, kGlobalPlacementSeed, &pool);
       for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
         ASSERT_EQ(serial.cell_origin(c), parallel.cell_origin(c))
             << "seed " << seed << ", threads " << threads << ", cell " << c;
@@ -91,8 +91,8 @@ TEST(GlobalPlacer, ParallelStableAcrossRuns) {
   runtime::ThreadPool pool(3);
   Placement first(&nl, fp);
   Placement second(&nl, fp);
-  run_global_placement(first, {}, &pool);
-  run_global_placement(second, {}, &pool);
+  run_global_placement(first, kGlobalPlacementSeed, &pool);
+  run_global_placement(second, kGlobalPlacementSeed, &pool);
   for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
     ASSERT_EQ(first.cell_origin(c), second.cell_origin(c));
   }
