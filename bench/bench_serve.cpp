@@ -1,12 +1,12 @@
 // Benchmark for the attack-serving loop: train the fast-profile network
 // once, then serve every victim query through ServeLoop from C concurrent
-// client threads for C in {1, 2, 4}, next to one batch-1 `attack()` row
-// (the serial inference pass) for reference. Each client count reports
+// client threads for C in {1, 2, 4}, next to one serial `attack()` row
+// (the per-pin embedding table plus head-only scoring) for reference. Each client count reports
 // queries/sec and client-observed p50/p99 submit latency. Two gates ride
 // on every row:
 //
 //   * byte-identity — every served selection (and the attack() row's
-//     selections and CCR) must equal the batch-1 attack() baseline bit for
+//     selections and CCR) must equal the serial attack() baseline bit for
 //     bit;
 //   * alloc-free steady state — once every replica the sweep can lease has
 //     served every query, the timed passes must add ZERO replica clones
@@ -173,12 +173,12 @@ int main(int argc, char** argv) {
   sma::attack::QueryDataset victim(prepared.split.get(), dataset_config);
   const long num_queries = static_cast<long>(victim.num_queries());
 
-  // Batch-1 serial baseline: the identity oracle for every row.
+  // Serial attack() baseline: the identity oracle for every row.
   const sma::attack::AttackResult baseline = dl.attack(victim);
   std::cerr << "bench_serve: " << num_queries << " queries, baseline CCR "
             << baseline.ccr << "\n";
 
-  // The attack() row: timed serial batch-1 passes on one pinned replica.
+  // The attack() row: timed serial passes on one pinned replica.
   double attack_seconds = 0.0;
   bool identity_ok = true;
   {
@@ -306,7 +306,7 @@ int main(int argc, char** argv) {
   sma::benchutil::flush_trace();
 
   std::cerr << (identity_ok
-                    ? "bit-identity check: every row matches batch-1\n"
+                    ? "bit-identity check: every row matches attack()\n"
                     : "bit-identity check FAILED\n");
   if (!alloc_free) {
     std::cerr << "steady-state check FAILED: replicas cloned or arenas "

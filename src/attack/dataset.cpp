@@ -23,33 +23,27 @@ QueryDataset::QueryDataset(const split::SplitDesign* split,
               features::compute_vector_features(*split_, vpp));
         }
       });
-  // Pin rows: every pin some query references, deduplicated and sorted,
-  // so row order depends on the split alone.
-  std::vector<int> pins;
-  for (const split::SinkQuery& query : queries_) {
-    if (query.candidates.empty()) continue;
-    for (const split::Vpp& vpp : query.candidates) {
-      pins.push_back(vpp.source_vp);
-    }
-    // The sink fragment's first virtual pin represents it.
-    pins.push_back(split_->fragment(query.sink_fragment).virtual_pins.front());
-  }
-  std::sort(pins.begin(), pins.end());
-  pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-  num_pins_ = pins.size();
-  const auto row_of = [&pins](int pin) {
-    return static_cast<int>(std::lower_bound(pins.begin(), pins.end(), pin) -
-                            pins.begin());
-  };
+  // Every query's image slots back to back: its candidates' source pins,
+  // then the pin representing its sink fragment (the fragment's first).
   row_offsets_.reserve(queries_.size());
   for (const split::SinkQuery& query : queries_) {
     row_offsets_.push_back(pin_rows_.size());
     if (query.candidates.empty()) continue;
     for (const split::Vpp& vpp : query.candidates) {
-      pin_rows_.push_back(row_of(vpp.source_vp));
+      pin_rows_.push_back(vpp.source_vp);
     }
     pin_rows_.push_back(
-        row_of(split_->fragment(query.sink_fragment).virtual_pins.front()));
+        split_->fragment(query.sink_fragment).virtual_pins.front());
+  }
+  // The distinct pins in sorted order are the pin rows, so row order
+  // depends on the split alone; each slot then holds its pin's row.
+  std::vector<int> pins = pin_rows_;
+  std::sort(pins.begin(), pins.end());
+  pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
+  num_pins_ = pins.size();
+  for (int& slot : pin_rows_) {
+    slot = static_cast<int>(
+        std::lower_bound(pins.begin(), pins.end(), slot) - pins.begin());
   }
 
   if (config.build_images) {
@@ -58,7 +52,7 @@ QueryDataset::QueryDataset(const split::SplitDesign* split,
     const features::ImageRenderer renderer(split_, config.images);
     image_channels_ = config.images.channels();
     image_size_ = config.images.size;
-    const std::size_t per_image = config.images.pixels_per_image();
+    const std::size_t per_image = pixels_per_pin();
     pin_images_.resize(pins.size() * per_image);
     SMA_TRACE_SPAN_V("dataset", "render_images", pins.size());
     SMA_COUNT_N("dataset.images_rendered", pins.size());
@@ -102,8 +96,7 @@ void QueryDataset::input_into(std::size_t i, nn::QueryInput& out) const {
   // n source images, then the sink image; every plane fully overwritten.
   out.images.resize_reuse({static_cast<int>(n) + 1, image_channels_,
                            image_size_, image_size_});
-  const std::size_t per_image =
-      static_cast<std::size_t>(image_channels_) * image_size_ * image_size_;
+  const std::size_t per_image = pixels_per_pin();
   const int* rows = pin_rows(i);
   for (std::size_t j = 0; j <= n; ++j) {
     std::memcpy(out.images.data() + j * per_image,
@@ -117,8 +110,7 @@ void QueryDataset::pin_images_into(std::size_t first, std::size_t count,
                                    nn::Tensor& out) const {
   out.resize_reuse({static_cast<int>(count), image_channels_, image_size_,
                     image_size_});
-  const std::size_t per_image =
-      static_cast<std::size_t>(image_channels_) * image_size_ * image_size_;
+  const std::size_t per_image = pixels_per_pin();
   std::memcpy(out.data(), pin_images_.data() + first * per_image,
               sizeof(float) * count * per_image);
 }

@@ -86,6 +86,11 @@ class QueryDataset {
                        nn::Tensor& out) const;
 
  private:
+  std::size_t pixels_per_pin() const {
+    return static_cast<std::size_t>(image_channels_) * image_size_ *
+           image_size_;
+  }
+
   const split::SplitDesign* split_;
   std::vector<split::SinkQuery> queries_;
   std::vector<std::vector<features::VectorFeatures>> vector_features_;

@@ -37,7 +37,8 @@ class CellLibrary;
 namespace sma::eval {
 
 /// Digest of everything that determines a flow's output layout: the
-/// profile, the seed, and the flow's fixed stage configs and constants.
+/// profile, the seed, the router's and grid's default configs, and a
+/// version tag for the flow's code, the placers' constants included.
 std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
                                std::uint64_t seed);
 

@@ -5,6 +5,7 @@
 #include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace sma::nn {
 
@@ -162,6 +163,13 @@ const Tensor& AttackNet::head(const Tensor& vec, const Tensor* embeddings,
     if (embeddings == nullptr || rows == nullptr ||
         embeddings->shape().size() != 2 || embeddings->dim(1) != h) {
       throw std::invalid_argument("head: image net needs embedding rows");
+    }
+    for (int j = 0; j <= n_; ++j) {
+      if (rows[j] < 0 || rows[j] >= embeddings->dim(0)) {
+        throw std::out_of_range("head: embedding row " +
+                                std::to_string(rows[j]) + " outside [0, " +
+                                std::to_string(embeddings->dim(0)) + ")");
+      }
     }
     // --- fuse each source embedding with the (shared) sink embedding
     // (full overwrite: two memcpys cover each row)

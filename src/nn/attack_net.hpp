@@ -108,7 +108,8 @@ class AttackNet {
   /// are byte copies of those embedding rows, so the scores equal
   /// `forward`'s whenever the rows equal the trunk's output for the
   /// query's images. Vector-only nets ignore `embeddings` and `rows`
-  /// (pass nullptr). Same lifetime as `forward`'s result.
+  /// (pass nullptr). Throws std::out_of_range for a row outside the
+  /// table. Same lifetime as `forward`'s result.
   const Tensor& head(const Tensor& vec, const Tensor* embeddings,
                      const int* rows);
 

@@ -21,9 +21,8 @@ namespace sma::place {
 /// this many contiguous blocks whose per-cell pulls accumulate into
 /// private arrays, reduced in fixed lane order (the gradient-lane
 /// pattern). Part of the algorithm — it decides how the floating-point
-/// sums associate and therefore feeds the layout-cache digest — and
-/// independent of the thread count, so any pool size is bit-identical to
-/// serial.
+/// sums associate and therefore shapes the layout — and independent of
+/// the thread count, so any pool size is bit-identical to serial.
 inline constexpr int kRelaxLanes = 8;
 
 // The schedule. Like kRelaxLanes these are part of the algorithm: the

@@ -1,8 +1,9 @@
 // Attack-serving front end: many concurrent callers, one query each.
 //
 // `submit()` answers one query on the CALLING thread: it leases one
-// replica from the attack's ReplicaSet, runs one batch-1 forward over the
-// query's n candidate VPPs (the paper's batch definition) through
+// replica from the attack's ReplicaSet, runs one batch-1 forward (the
+// image trunk over the query's n + 1 pin images, then the head over its
+// n candidate VPPs, the paper's batch definition) through
 // `attack::select_one`, and returns the lease. Concurrency therefore
 // equals the number of callers. The replica bound
 // (`ReplicaSet::set_max_replicas`) plus `lease_timeout_seconds` are the
@@ -11,10 +12,16 @@
 // AcquireTimeoutError.
 //
 // Determinism contract: every answer is byte-identical to what a direct
-// batch-1 `attack()` chooses — both run `select_one` over replicas that
-// share the master's weights — so client count, replica count and arrival
-// timing never change any answer. Only latency and throughput are
-// timing-dependent.
+// `attack()` chooses. The two run the same trunk and head in two call
+// shapes over replicas that share the master's weights: a submit embeds
+// the query's own n + 1 pins in one trunk call, while `attack()` embeds
+// each distinct pin of the dataset once into a table and runs the head
+// on the query's rows of it. A pin's embedding depends only on the
+// weights and its image (AttackNet::trunk), so both shapes feed the head
+// the same bytes. Client count, replica count and arrival timing
+// therefore never change any answer; only latency and throughput are
+// timing-dependent. The serving loop keeps no per-dataset table: a
+// submit is a pure function of (weights, dataset, query).
 //
 // Lifecycle: `shutdown()` rejects new submits and returns only after every
 // submit already accepted has finished. It may be called concurrently
@@ -63,7 +70,7 @@ class ServeLoop {
   ServeLoop& operator=(const ServeLoop&) = delete;
 
   /// Serve one query of `dataset` on the calling thread and return its
-  /// selection — byte-identical to what a batch-1 attack() chooses.
+  /// selection — byte-identical to what attack() chooses.
   /// Empty-candidate queries are answered inline without a replica.
   /// Throws std::runtime_error after shutdown() (before touching the
   /// dataset) and AcquireTimeoutError when no replica frees up within

@@ -81,6 +81,17 @@ TEST(AttackNet, RejectsBadInput) {
   QueryInput bad2 = tiny_input(4, true);
   bad2.images = Tensor({4, 2, 15, 15});  // n images instead of n+1
   EXPECT_THROW(net.forward(bad2), std::invalid_argument);
+
+  // The head needs n + 1 embedding rows inside the table.
+  const QueryInput good = tiny_input(4, true);
+  const Tensor table = net.trunk(good.images);  // 5 rows
+  const std::vector<int> rows = {0, 1, 2, 3, 4};
+  EXPECT_THROW(net.head(good.vec, nullptr, rows.data()),
+               std::invalid_argument);
+  const std::vector<int> past_end = {0, 1, 2, 3, 5};
+  EXPECT_THROW(net.head(good.vec, &table, past_end.data()),
+               std::out_of_range);
+  EXPECT_NO_THROW(net.head(good.vec, &table, rows.data()));
 }
 
 TEST(AttackNet, EndToEndGradientCheck) {
