@@ -8,10 +8,12 @@
 // and recomputed, never silently consumed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -26,9 +28,11 @@
 #include "eval/experiment.hpp"
 #include "eval/split_cache.hpp"
 #include "layout/def_io.hpp"
+#include "netlist/profiles.hpp"
 #include "test_support.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault.hpp"
+#include "util/hash.hpp"
 
 namespace sma {
 namespace {
@@ -440,8 +444,13 @@ TEST_F(CheckpointTrainTest, CorruptCheckpointFallsBackToFreshStart) {
 }
 
 // ---------------------------------------------------------------------
-// Split-cache disk tier
+// Golden persisted bytes: the on-disk formats at fixed seeds
 // ---------------------------------------------------------------------
+
+/// The persisted payload formats are a compatibility contract: files
+/// written by an earlier build must load. These goldens pin the exact
+/// bytes (or, where a payload carries wall-clock fields, the layout).
+class Durability : public CheckpointTrainTest {};
 
 std::string cache_entry_path(const std::string& dir, std::uint64_t key) {
   char name[32];
@@ -449,6 +458,144 @@ std::string cache_entry_path(const std::string& dir, std::uint64_t key) {
                 static_cast<unsigned long long>(key));
   return dir + "/" + name;
 }
+
+std::uint64_t file_digest(const std::string& path) {
+  const std::string bytes = util::read_file(path);
+  return util::ContentHash().add_bytes(bytes.data(), bytes.size()).digest();
+}
+
+// The frame, the compat digest, the params blob and the Adam blob of a
+// pool-less 2-epoch tiny vector-net run's last checkpoint.
+TEST_F(Durability, GoldenCheckpointFileBytes) {
+  const std::string path = test_dir() + "/ckpt.sma";
+  train_model(/*epochs=*/2, /*batch_size=*/1, /*threads=*/1, path,
+              /*checkpoint_every=*/1);
+  const std::uint64_t digest = file_digest(path);
+  EXPECT_EQ(digest, 0x18242ecb513671fdull) << "got 0x" << std::hex << digest;
+}
+
+// The disk-tier entry of c432 at seed 2019: key echo, routing summary,
+// DEF text, all inside the frame.
+TEST_F(Durability, GoldenCacheEntryFileBytes) {
+  const std::string dir = test_dir();
+  const netlist::DesignProfile& profile = netlist::find_profile("c432");
+  const std::uint64_t key = eval::design_cache_key(profile, 2019);
+  eval::SplitCache cache(1);
+  cache.set_disk_dir(dir, &test::library());
+  cache.get_or_build(key, [&] {
+    return std::make_shared<const layout::Design>(layout::run_flow(
+        netlist::build_profile(profile, &test::library(), 2019),
+        layout::FlowConfig{2019}));
+  });
+  ASSERT_EQ(cache.stats().disk_spills, 1u);
+  const std::uint64_t digest = file_digest(cache_entry_path(dir, key));
+  EXPECT_EQ(digest, 0x586e59244029bf58ull) << "got 0x" << std::hex << digest;
+}
+
+/// The two-victim tiny Table-3 setup the work-unit tests share.
+eval::ExperimentProfile tiny_work_profile(const std::string& work_dir) {
+  eval::ExperimentProfile profile = eval::ExperimentProfile::fast();
+  profile.dataset.candidates.max_candidates = 6;
+  profile.dataset.images.size = 9;
+  profile.dataset.images.pixel_sizes = {200, 400};
+  profile.net.hidden = 16;
+  profile.net.vector_res_blocks = 1;
+  profile.net.merged_res_blocks = 1;
+  profile.net.conv_channels = {4, 6, 8, 10};
+  profile.net.image_fc = 16;
+  profile.train.epochs = 2;
+  profile.train.max_queries_per_design = 40;
+  profile.work_dir = work_dir;
+  return profile;
+}
+
+std::vector<netlist::DesignProfile> tiny_victims() {
+  netlist::DesignProfile a;
+  a.name = "tiny_a";
+  a.num_inputs = 8;
+  a.num_outputs = 4;
+  a.num_gates = 300;
+  netlist::DesignProfile b = a;
+  b.name = "tiny_b";
+  b.num_gates = 260;
+  return {a, b};
+}
+
+/// The work-unit files of `dir`, in name (= slot) order.
+std::vector<std::string> work_unit_files(const std::string& dir) {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".sma") {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+std::uint64_t u64_at(const std::string& bytes, std::size_t offset) {
+  std::uint64_t v = 0;
+  EXPECT_LE(offset + sizeof(v), bytes.size());
+  if (offset + sizeof(v) <= bytes.size()) {
+    std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  }
+  return v;
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// A Table-3 unit payload, at the offsets the durable_io header documents:
+//   u64 run digest | u64 slot | u64 name length | name bytes |
+//   i64 sink count | i64 source count | u64 flags (1 timed out,
+//   2 scaled down) | f64 flow ccr | f64 flow seconds | f64 dl ccr |
+//   f64 dl seconds | f64 hit rate
+// Units carry wall-clock fields, so this is a layout check, not a digest.
+TEST_F(Durability, WorkUnitPayloadLayout) {
+  const std::string dir = test_dir();
+  const std::vector<netlist::DesignProfile> victims = tiny_victims();
+  const eval::Table3Result result =
+      eval::run_table3(3, tiny_work_profile(dir), victims, 2019);
+  ASSERT_EQ(result.rows.size(), victims.size());
+
+  const std::vector<std::string> files = work_unit_files(dir);
+  ASSERT_EQ(files.size(), victims.size());
+  for (std::size_t slot = 0; slot < files.size(); ++slot) {
+    SCOPED_TRACE(files[slot]);
+    const eval::Table3Row& row = result.rows[slot];
+    const std::string payload =
+        util::read_frame_file(files[slot], "sma-work-unit", 1);
+    const std::string name =
+        std::filesystem::path(files[slot]).filename().string();
+    EXPECT_EQ(u64_at(payload, 0), std::stoull(name.substr(0, 16), nullptr, 16));
+    EXPECT_EQ(u64_at(payload, 8), slot);
+    EXPECT_EQ(u64_at(payload, 16), row.design.size());
+    EXPECT_EQ(payload.substr(24, row.design.size()), row.design);
+    std::size_t at = 24 + row.design.size();
+    EXPECT_EQ(u64_at(payload, at), static_cast<std::uint64_t>(
+                                       static_cast<std::int64_t>(
+                                           row.num_sink_fragments)));
+    EXPECT_EQ(u64_at(payload, at + 8),
+              static_cast<std::uint64_t>(
+                  static_cast<std::int64_t>(row.num_source_fragments)));
+    EXPECT_EQ(u64_at(payload, at + 16), (row.flow_timed_out ? 1u : 0u) |
+                                            (row.scaled_down ? 2u : 0u));
+    at += 24;
+    for (const double field : {row.flow_ccr, row.flow_seconds, row.dl_ccr,
+                               row.dl_seconds, row.hit_rate}) {
+      EXPECT_EQ(u64_at(payload, at), bits_of(field)) << "offset " << at;
+      at += 8;
+    }
+    EXPECT_EQ(payload.size(), at) << "payload ends after the hit rate";
+  }
+}
+
+// ---------------------------------------------------------------------
+// Split-cache disk tier
+// ---------------------------------------------------------------------
 
 TEST_F(DurabilityTest, DiskCacheServesSecondProcessByteIdenticalDesign) {
   const std::string dir = test_dir();
