@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "util/durable_io.hpp"
 #include "util/fault.hpp"
@@ -19,159 +21,93 @@ std::atomic<long> g_saves{0};
 std::atomic<long> g_resumes{0};
 std::atomic<long> g_corrupt_discards{0};
 
-void append_pod(std::string& out, const void* data, std::size_t size) {
-  // data may be an empty vector's null data(); append requires a valid range.
-  if (size > 0) out.append(static_cast<const char*>(data), size);
+/// A history vector: u64 count, then the doubles' bit patterns, so
+/// histories compare bit-equal across save/load.
+void put_doubles(util::ByteWriter& out, const std::vector<double>& v) {
+  out.u64(v.size()).bytes(v.data(), v.size() * sizeof(double));
 }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  append_pod(out, &v, sizeof(v));
+std::vector<double> get_doubles(util::ByteReader& in, const char* what) {
+  const std::uint64_t count = in.u64(what);
+  const std::string_view raw = in.array(count, sizeof(double), what);
+  std::vector<double> v(static_cast<std::size_t>(count));
+  if (!raw.empty()) std::memcpy(v.data(), raw.data(), raw.size());
+  return v;
 }
-
-void append_doubles(std::string& out, const std::vector<double>& v) {
-  append_u64(out, v.size());
-  append_pod(out, v.data(), v.size() * sizeof(double));
-}
-
-/// Bounds-checked sequential reader over a payload. Doubles round-trip as
-/// raw bit patterns, so histories compare bit-equal across save/load.
-class Cursor {
- public:
-  explicit Cursor(const std::string& bytes) : bytes_(bytes) {}
-
-  void read(void* into, std::size_t size, const char* what) {
-    if (bytes_.size() - pos_ < size) {
-      throw util::FrameError(std::string("checkpoint payload truncated in ") +
-                             what);
-    }
-    // An empty vector's data() may be null, and memcpy's pointer args are
-    // declared nonnull even for size 0.
-    if (size > 0) std::memcpy(into, bytes_.data() + pos_, size);
-    pos_ += size;
-  }
-
-  std::uint64_t read_u64(const char* what) {
-    std::uint64_t v = 0;
-    read(&v, sizeof(v), what);
-    return v;
-  }
-
-  std::vector<double> read_doubles(const char* what) {
-    const std::uint64_t count = read_u64(what);
-    if (count > (bytes_.size() - pos_) / sizeof(double)) {
-      throw util::FrameError(std::string("checkpoint payload truncated in ") +
-                             what);
-    }
-    std::vector<double> v(static_cast<std::size_t>(count));
-    read(v.data(), v.size() * sizeof(double), what);
-    return v;
-  }
-
-  std::string read_blob(const char* what) {
-    const std::uint64_t size = read_u64(what);
-    if (size > bytes_.size() - pos_) {
-      throw util::FrameError(std::string("checkpoint payload truncated in ") +
-                             what);
-    }
-    std::string blob(bytes_.data() + pos_, static_cast<std::size_t>(size));
-    pos_ += static_cast<std::size_t>(size);
-    return blob;
-  }
-
-  bool done() const { return pos_ == bytes_.size(); }
-
- private:
-  const std::string& bytes_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
 std::string encode_params(const std::vector<nn::Param>& params) {
-  std::string out;
-  append_u64(out, params.size());
+  util::ByteWriter out;
+  out.u64(params.size());
   for (const nn::Param& p : params) {
-    append_u64(out, p.value->size());
-    append_pod(out, p.value->data(), p.value->size() * sizeof(float));
+    out.u64(p.value->size())
+        .bytes(p.value->data(), p.value->size() * sizeof(float));
   }
-  return out;
+  return out.take();
 }
 
 void decode_params(const std::string& blob, std::vector<nn::Param>& params) {
-  Cursor cur(blob);
-  const std::uint64_t count = cur.read_u64("parameter count");
+  util::ByteReader in(blob);
+  const std::uint64_t count = in.u64("parameter count");
   if (count != params.size()) {
     throw util::FrameError("checkpoint parameter count mismatch: blob has " +
                            std::to_string(count) + ", model has " +
                            std::to_string(params.size()));
   }
-  // Validate every size before touching any tensor, so a bad blob leaves
-  // the model unchanged. Two passes over an in-memory string are cheap.
-  std::vector<std::size_t> offsets(params.size());
-  {
-    Cursor scan(blob);
-    scan.read_u64("parameter count");
-    std::size_t offset = sizeof(std::uint64_t);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const std::uint64_t size = scan.read_u64(params[i].name.c_str());
-      if (size != params[i].value->size()) {
-        throw util::FrameError(
-            "checkpoint size mismatch for " + params[i].name + ": blob has " +
-            std::to_string(size) + " floats, model expects " +
-            std::to_string(params[i].value->size()));
-      }
-      offset += sizeof(std::uint64_t);
-      offsets[i] = offset;
-      std::vector<float> discard(static_cast<std::size_t>(size));
-      scan.read(discard.data(), discard.size() * sizeof(float),
-                params[i].name.c_str());
-      offset += static_cast<std::size_t>(size) * sizeof(float);
-    }
-  }
+  // Validate the whole blob before touching any tensor, so a bad blob
+  // leaves the model unchanged.
+  std::vector<std::string_view> values(params.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
-    std::memcpy(params[i].value->data(), blob.data() + offsets[i],
-                params[i].value->size() * sizeof(float));
+    const std::uint64_t size = in.u64(params[i].name.c_str());
+    if (size != params[i].value->size()) {
+      throw util::FrameError(
+          "checkpoint size mismatch for " + params[i].name + ": blob has " +
+          std::to_string(size) + " floats, model expects " +
+          std::to_string(params[i].value->size()));
+    }
+    values[i] = in.bytes(size * sizeof(float), params[i].name.c_str());
+  }
+  in.expect_end("parameter blob");
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (!values[i].empty()) {
+      std::memcpy(params[i].value->data(), values[i].data(),
+                  values[i].size());
+    }
   }
 }
 
 std::string encode_checkpoint(const TrainCheckpoint& ckpt) {
-  std::string out;
-  append_u64(out, ckpt.compat_digest);
-  append_u64(out, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(ckpt.epochs_done)));
-  append_u64(out, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(ckpt.queries_seen)));
-  append_u64(out, ckpt.rng.state);
-  append_u64(out, ckpt.rng.inc);
-  append_doubles(out, ckpt.epoch_loss);
-  append_doubles(out, ckpt.validation_ccr);
-  append_u64(out, ckpt.model_blob.size());
-  out.append(ckpt.model_blob);
-  append_u64(out, ckpt.adam_blob.size());
-  out.append(ckpt.adam_blob);
-  return out;
+  util::ByteWriter out;
+  out.u64(ckpt.compat_digest)
+      .i64(ckpt.epochs_done)
+      .i64(ckpt.queries_seen)
+      .u64(ckpt.rng.state)
+      .u64(ckpt.rng.inc);
+  put_doubles(out, ckpt.epoch_loss);
+  put_doubles(out, ckpt.validation_ccr);
+  out.str(ckpt.model_blob).str(ckpt.adam_blob);
+  return out.take();
 }
 
 TrainCheckpoint decode_checkpoint(const std::string& payload) {
-  Cursor cur(payload);
+  util::ByteReader in(payload);
   TrainCheckpoint ckpt;
-  ckpt.compat_digest = cur.read_u64("compat digest");
-  ckpt.epochs_done = static_cast<int>(
-      static_cast<std::int64_t>(cur.read_u64("epoch counter")));
-  ckpt.queries_seen =
-      static_cast<long>(static_cast<std::int64_t>(cur.read_u64("query count")));
-  if (ckpt.epochs_done < 0 || ckpt.queries_seen < 0) {
-    throw util::FrameError("checkpoint payload has negative counters");
+  ckpt.compat_digest = in.u64("compat digest");
+  const std::int64_t epochs = in.i64("epoch counter");
+  const std::int64_t queries = in.i64("query count");
+  if (epochs < 0 || epochs > std::numeric_limits<int>::max() || queries < 0) {
+    throw util::FrameError("checkpoint payload has out-of-range counters");
   }
-  ckpt.rng.state = cur.read_u64("rng state");
-  ckpt.rng.inc = cur.read_u64("rng stream");
-  ckpt.epoch_loss = cur.read_doubles("epoch losses");
-  ckpt.validation_ccr = cur.read_doubles("validation history");
-  ckpt.model_blob = cur.read_blob("model weights");
-  ckpt.adam_blob = cur.read_blob("optimizer state");
-  if (!cur.done()) {
-    throw util::FrameError("checkpoint payload has trailing bytes");
-  }
+  ckpt.epochs_done = static_cast<int>(epochs);
+  ckpt.queries_seen = static_cast<long>(queries);
+  ckpt.rng.state = in.u64("rng state");
+  ckpt.rng.inc = in.u64("rng stream");
+  ckpt.epoch_loss = get_doubles(in, "epoch losses");
+  ckpt.validation_ccr = get_doubles(in, "validation history");
+  ckpt.model_blob = in.str("model weights");
+  ckpt.adam_blob = in.str("optimizer state");
+  in.expect_end("checkpoint payload");
   return ckpt;
 }
 

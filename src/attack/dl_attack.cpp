@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -12,6 +11,7 @@
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 #include "util/durable_io.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -148,52 +148,41 @@ TrainStats DlAttack::train(const std::vector<QueryDataset>& training,
     // Adam schedule, the sampling/batching hyperparameters, the seed,
     // the loss head, the dataset shape, and the model's parameter sizes.
     // A checkpoint whose digest differs resumes nothing.
-    std::string buf;
-    const auto mix_u64 = [&buf](std::uint64_t v) {
-      buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    const auto mix_double = [&](double d) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &d, sizeof(bits));
-      mix_u64(bits);
-    };
-    mix_double(config.adam.lr);
-    mix_double(config.adam.beta1);
-    mix_double(config.adam.beta2);
-    mix_double(config.adam.eps);
-    mix_double(config.adam.decay);
-    mix_u64(static_cast<std::uint64_t>(config.decay_every));
-    mix_u64(static_cast<std::uint64_t>(config.max_queries_per_design));
-    mix_u64(static_cast<std::uint64_t>(config.batch_size));
-    mix_u64(config.seed);
-    mix_u64(two_class ? 1 : 0);
-    mix_u64(per_design.size());
-    for (const auto& refs : per_design) mix_u64(refs.size());
-    mix_u64(ckpt_params.size());
-    for (const nn::Param& p : ckpt_params) mix_u64(p.value->size());
-    ckpt_digest = util::fnv1a(buf.data(), buf.size());
+    util::ContentHash compat;
+    compat.add(config.adam.lr)
+        .add(config.adam.beta1)
+        .add(config.adam.beta2)
+        .add(config.adam.eps)
+        .add(config.adam.decay)
+        .add(config.decay_every)
+        .add(config.max_queries_per_design)
+        .add(config.batch_size)
+        .add(config.seed)
+        .add(two_class)
+        .add(per_design.size());
+    for (const auto& refs : per_design) compat.add(refs.size());
+    compat.add(ckpt_params.size());
+    for (const nn::Param& p : ckpt_params) compat.add(p.value->size());
+    ckpt_digest = compat.digest();
 
     TrainCheckpoint ckpt;
     if (try_load_checkpoint(config.checkpoint_path, ckpt_digest, &ckpt) &&
         ckpt.epochs_done > 0 && ckpt.epochs_done <= config.epochs) {
-      // Snapshot the fresh state first so a checkpoint that passes the
-      // frame checksum and digest but still fails to decode (should be
-      // impossible; defends the invariant anyway) rolls back cleanly to
-      // a fresh start instead of leaving weights and optimizer mixed.
+      // A checkpoint that passes the frame checksum and digest but still
+      // fails to decode (should be impossible; defends the invariant
+      // anyway) must not leave weights and optimizer mixed. Both decoders
+      // validate before they write, so only the weights, decoded first,
+      // can need restoring.
       const std::string fresh_weights = encode_params(ckpt_params);
-      std::ostringstream fresh_adam;
-      engine.optimizer().serialize(fresh_adam);
       try {
         decode_params(ckpt.model_blob, ckpt_params);
-        std::istringstream adam_in(ckpt.adam_blob);
+        util::ByteReader adam_in(ckpt.adam_blob);
         engine.optimizer().deserialize(adam_in);
         start_epoch = ckpt.epochs_done;
       } catch (const std::exception& e) {
         util::log_warn() << "checkpoint " << config.checkpoint_path
                          << " failed to decode, starting fresh: " << e.what();
         decode_params(fresh_weights, ckpt_params);
-        std::istringstream adam_in(fresh_adam.str());
-        engine.optimizer().deserialize(adam_in);
         start_epoch = 0;
       }
       if (start_epoch > 0) {
@@ -371,9 +360,9 @@ TrainStats DlAttack::train(const std::vector<QueryDataset>& training,
       ckpt.validation_ccr = stats.validation_ccr;
       ckpt.rng = rng.save_state();
       ckpt.model_blob = encode_params(ckpt_params);
-      std::ostringstream adam_out;
+      util::ByteWriter adam_out;
       engine.optimizer().serialize(adam_out);
-      ckpt.adam_blob = adam_out.str();
+      ckpt.adam_blob = adam_out.take();
       try {
         save_checkpoint(config.checkpoint_path, ckpt);
         ++stats.checkpoints_saved;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -215,118 +214,71 @@ std::string work_unit_path(const std::string& dir, std::uint64_t digest,
   return dir + "/" + name;
 }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void append_bits(std::string& out, double d) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  append_u64(out, bits);
-}
-
-void append_str(std::string& out, const std::string& s) {
-  append_u64(out, s.size());
-  out.append(s);
-}
-
-/// Bounds-checked reader for work-unit payloads.
-class WorkCursor {
- public:
-  explicit WorkCursor(const std::string& bytes) : bytes_(bytes) {}
-
-  std::uint64_t read_u64(const char* what) {
-    std::uint64_t v = 0;
-    if (bytes_.size() - pos_ < sizeof(v)) {
-      throw util::FrameError(std::string("work unit truncated in ") + what);
-    }
-    std::memcpy(&v, bytes_.data() + pos_, sizeof(v));
-    pos_ += sizeof(v);
-    return v;
-  }
-
-  double read_bits(const char* what) {
-    const std::uint64_t bits = read_u64(what);
-    double d = 0.0;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
-  }
-
-  std::string read_str(const char* what) {
-    const std::uint64_t size = read_u64(what);
-    if (size > bytes_.size() - pos_) {
-      throw util::FrameError(std::string("work unit truncated in ") + what);
-    }
-    std::string s(bytes_.data() + pos_, static_cast<std::size_t>(size));
-    pos_ += static_cast<std::size_t>(size);
-    return s;
-  }
-
- private:
-  const std::string& bytes_;
-  std::size_t pos_ = 0;
-};
-
 std::string encode_t3_row(std::uint64_t digest, std::size_t slot,
                           const Table3Row& row) {
-  std::string out;
-  append_u64(out, digest);
-  append_u64(out, slot);
-  append_str(out, row.design);
-  append_u64(out, static_cast<std::uint64_t>(row.num_sink_fragments));
-  append_u64(out, static_cast<std::uint64_t>(row.num_source_fragments));
-  append_u64(out, (row.flow_timed_out ? 1u : 0u) |
-                      (row.scaled_down ? 2u : 0u));
-  append_bits(out, row.flow_ccr);
-  append_bits(out, row.flow_seconds);
-  append_bits(out, row.dl_ccr);
-  append_bits(out, row.dl_seconds);
-  append_bits(out, row.hit_rate);
-  return out;
+  util::ByteWriter out;
+  out.u64(digest)
+      .u64(slot)
+      .str(row.design)
+      .i64(row.num_sink_fragments)
+      .i64(row.num_source_fragments)
+      .u64((row.flow_timed_out ? 1u : 0u) | (row.scaled_down ? 2u : 0u))
+      .f64(row.flow_ccr)
+      .f64(row.flow_seconds)
+      .f64(row.dl_ccr)
+      .f64(row.dl_seconds)
+      .f64(row.hit_rate);
+  return out.take();
+}
+
+/// Checks that a unit belongs to this run and slot.
+void expect_unit_of(util::ByteReader& in, std::uint64_t digest,
+                    std::size_t slot) {
+  if (in.u64("digest") != digest || in.u64("slot") != slot) {
+    throw util::FrameError("work unit belongs to a different run or slot");
+  }
 }
 
 Table3Row decode_t3_row(const std::string& payload, std::uint64_t digest,
                         std::size_t slot) {
-  WorkCursor cur(payload);
-  if (cur.read_u64("digest") != digest || cur.read_u64("slot") != slot) {
-    throw util::FrameError("work unit belongs to a different run or slot");
-  }
+  util::ByteReader in(payload);
+  expect_unit_of(in, digest, slot);
   Table3Row row;
-  row.design = cur.read_str("design name");
-  row.num_sink_fragments = static_cast<int>(cur.read_u64("sink count"));
-  row.num_source_fragments = static_cast<int>(cur.read_u64("source count"));
-  const std::uint64_t flags = cur.read_u64("flags");
+  row.design = in.str("design name");
+  row.num_sink_fragments = static_cast<int>(in.i64("sink count"));
+  row.num_source_fragments = static_cast<int>(in.i64("source count"));
+  const std::uint64_t flags = in.u64("flags");
   row.flow_timed_out = (flags & 1u) != 0;
   row.scaled_down = (flags & 2u) != 0;
-  row.flow_ccr = cur.read_bits("flow ccr");
-  row.flow_seconds = cur.read_bits("flow seconds");
-  row.dl_ccr = cur.read_bits("dl ccr");
-  row.dl_seconds = cur.read_bits("dl seconds");
-  row.hit_rate = cur.read_bits("hit rate");
+  row.flow_ccr = in.f64("flow ccr");
+  row.flow_seconds = in.f64("flow seconds");
+  row.dl_ccr = in.f64("dl ccr");
+  row.dl_seconds = in.f64("dl seconds");
+  row.hit_rate = in.f64("hit rate");
+  in.expect_end("work unit");
   return row;
 }
 
 std::string encode_f5_row(std::uint64_t digest, std::size_t slot,
                           const AblationRow& row) {
-  std::string out;
-  append_u64(out, digest);
-  append_u64(out, slot);
-  append_str(out, row.setting);
-  append_bits(out, row.avg_ccr);
-  append_bits(out, row.avg_inference_seconds);
-  return out;
+  util::ByteWriter out;
+  out.u64(digest)
+      .u64(slot)
+      .str(row.setting)
+      .f64(row.avg_ccr)
+      .f64(row.avg_inference_seconds);
+  return out.take();
 }
 
 AblationRow decode_f5_row(const std::string& payload, std::uint64_t digest,
                           std::size_t slot) {
-  WorkCursor cur(payload);
-  if (cur.read_u64("digest") != digest || cur.read_u64("slot") != slot) {
-    throw util::FrameError("work unit belongs to a different run or slot");
-  }
+  util::ByteReader in(payload);
+  expect_unit_of(in, digest, slot);
   AblationRow row;
-  row.setting = cur.read_str("setting name");
-  row.avg_ccr = cur.read_bits("avg ccr");
-  row.avg_inference_seconds = cur.read_bits("avg inference seconds");
+  row.setting = in.str("setting name");
+  row.avg_ccr = in.f64("avg ccr");
+  row.avg_inference_seconds = in.f64("avg inference seconds");
+  in.expect_end("work unit");
   return row;
 }
 

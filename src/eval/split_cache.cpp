@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "layout/def_io.hpp"
 #include "tech/cell_library.hpp"
@@ -31,44 +30,24 @@ std::string cache_file_path(const std::string& dir, std::uint64_t key) {
 /// counts from geometry, but overflow and fallback counts are router
 /// history), followed by the DEF text itself.
 std::string encode_entry(std::uint64_t key, const layout::Design& design) {
-  std::string out;
-  const auto append_u64 = [&out](std::uint64_t v) {
-    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  append_u64(key);
-  append_u64(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(design.routing.final_overflow)));
-  append_u64(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(design.routing.fallback_routes)));
-  const std::string def = layout::to_def_string(design);
-  append_u64(def.size());
-  out.append(def);
-  return out;
+  util::ByteWriter out;
+  out.u64(key)
+      .i64(design.routing.final_overflow)
+      .i64(design.routing.fallback_routes)
+      .str(layout::to_def_string(design));
+  return out.take();
 }
 
 layout::Design decode_entry(const std::string& payload, std::uint64_t key,
                             const tech::CellLibrary* library) {
-  std::size_t pos = 0;
-  const auto read_u64 = [&payload, &pos](const char* what) {
-    std::uint64_t v = 0;
-    if (payload.size() - pos < sizeof(v)) {
-      throw util::FrameError(std::string("cache entry truncated in ") + what);
-    }
-    std::memcpy(&v, payload.data() + pos, sizeof(v));
-    pos += sizeof(v);
-    return v;
-  };
-  const std::uint64_t stored_key = read_u64("key");
-  if (stored_key != key) {
+  util::ByteReader in(payload);
+  if (in.u64("key") != key) {
     throw util::FrameError("cache entry key mismatch (file renamed?)");
   }
-  const auto overflow = static_cast<std::int64_t>(read_u64("overflow"));
-  const auto fallback = static_cast<std::int64_t>(read_u64("fallback count"));
-  const std::uint64_t def_size = read_u64("DEF length");
-  if (def_size != payload.size() - pos) {
-    throw util::FrameError("cache entry DEF length mismatch");
-  }
-  const std::string def = payload.substr(pos);
+  const std::int64_t overflow = in.i64("overflow");
+  const std::int64_t fallback = in.i64("fallback count");
+  const std::string def(in.str("DEF text"));
+  in.expect_end("cache entry");
   layout::Design design = layout::read_def_string(def, library);
   design.routing.final_overflow = static_cast<int>(overflow);
   design.routing.fallback_routes = static_cast<int>(fallback);

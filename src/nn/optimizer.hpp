@@ -3,11 +3,15 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "nn/layers.hpp"
 #include "runtime/thread_pool.hpp"
+
+namespace sma::util {
+class ByteReader;
+class ByteWriter;
+}  // namespace sma::util
 
 namespace sma::nn {
 
@@ -61,16 +65,18 @@ class Adam {
   std::size_t num_parameters() const;
 
   /// Checkpoint the full optimizer state: learning rate (decays applied
-  /// so far), step counter, and both moment vectors per parameter. The
-  /// config itself is not serialized — it comes from the TrainConfig the
-  /// resuming run was constructed with.
-  void serialize(std::ostream& out) const;
+  /// so far), step counter, and both moment vectors per parameter (the
+  /// "Adam blob" layout in util/durable_io.hpp). The config itself is not
+  /// serialized — it comes from the TrainConfig the resuming run was
+  /// constructed with.
+  void serialize(util::ByteWriter& out) const;
 
-  /// Restore state written by `serialize` into this optimizer. The
-  /// parameter count and every moment-vector size must match this
-  /// optimizer's parameters; throws std::runtime_error (naming the
-  /// mismatch) otherwise, leaving the state untouched.
-  void deserialize(std::istream& in);
+  /// Restore state written by `serialize` into this optimizer. `in` must
+  /// hold exactly that state: the parameter count and every moment-vector
+  /// size must match this optimizer's parameters, and no byte may follow.
+  /// Throws util::FrameError (naming the field) otherwise, leaving the
+  /// state untouched.
+  void deserialize(util::ByteReader& in);
 
  private:
   std::vector<Param> params_;

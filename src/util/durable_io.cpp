@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "util/fault.hpp"
+#include "util/hash.hpp"
 
 namespace sma::util {
 
@@ -20,61 +21,15 @@ namespace {
 constexpr std::uint32_t kMagic = 0x464d5341;  // "SMAF" little-endian
 constexpr std::uint32_t kContainerVersion = 1;
 
-void append_u32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-/// Bounds-checked little-endian reads over the frame bytes.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  T read(const char* what) {
-    if (bytes_.size() - pos_ < sizeof(T)) {
-      throw FrameError(std::string("frame truncated in ") + what);
-    }
-    T v;
-    std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  std::string_view read_bytes(std::size_t n, const char* what) {
-    if (bytes_.size() - pos_ < n) {
-      throw FrameError(std::string("frame truncated in ") + what);
-    }
-    std::string_view v = bytes_.substr(pos_, n);
-    pos_ += n;
-    return v;
-  }
-
-  std::size_t pos() const { return pos_; }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
 std::uint64_t frame_checksum(std::string_view kind, std::uint32_t version,
                              std::string_view payload) {
-  // Chain FNV over the pieces the checksum covers, in frame order.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(kind.data(), kind.size());
-  mix(&version, sizeof(version));
-  mix(payload.data(), payload.size());
-  return h;
+  // The pieces the checksum covers, in frame order, with no length
+  // prefixes (ContentHash::add(string_view) would add them).
+  return ContentHash()
+      .add_bytes(kind.data(), kind.size())
+      .add_bytes(&version, sizeof(version))
+      .add_bytes(payload.data(), payload.size())
+      .digest();
 }
 
 [[noreturn]] void throw_errno(const std::string& op, const std::string& path) {
@@ -83,71 +38,110 @@ std::uint64_t frame_checksum(std::string_view kind, std::uint32_t version,
 
 }  // namespace
 
-std::uint64_t fnv1a(const void* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ull;
+ByteWriter& ByteWriter::bytes(const void* data, std::size_t size) {
+  // An empty vector's data() may be null; append needs a valid range.
+  if (size > 0) out_.append(static_cast<const char*>(data), size);
+  return *this;
+}
+
+std::string_view ByteReader::bytes(std::uint64_t n, const char* what) {
+  if (n > remaining()) {
+    throw FrameError(std::string("truncated in ") + what + ": needs " +
+                     std::to_string(n) + " bytes, " +
+                     std::to_string(remaining()) + " left");
   }
-  return h;
+  const std::string_view v =
+      bytes_.substr(pos_, static_cast<std::size_t>(n));
+  pos_ += v.size();
+  return v;
+}
+
+std::string_view ByteReader::array(std::uint64_t count, std::size_t width,
+                                   const char* what) {
+  if (width > 0 && count > remaining() / width) {
+    throw FrameError(std::string("truncated in ") + what + ": " +
+                     std::to_string(count) + " elements of " +
+                     std::to_string(width) + " bytes, " +
+                     std::to_string(remaining()) + " bytes left");
+  }
+  return bytes(count * width, what);
+}
+
+namespace {
+
+template <typename T>
+T read_fixed(ByteReader& in, const char* what) {
+  T v;
+  std::memcpy(&v, in.bytes(sizeof(T), what).data(), sizeof(T));
+  return v;
+}
+
+}  // namespace
+
+std::uint32_t ByteReader::u32(const char* what) {
+  return read_fixed<std::uint32_t>(*this, what);
+}
+std::uint64_t ByteReader::u64(const char* what) {
+  return read_fixed<std::uint64_t>(*this, what);
+}
+std::int64_t ByteReader::i64(const char* what) {
+  return read_fixed<std::int64_t>(*this, what);
+}
+double ByteReader::f64(const char* what) {
+  return read_fixed<double>(*this, what);
+}
+
+void ByteReader::expect_end(const char* what) const {
+  if (remaining() != 0) {
+    throw FrameError(std::string(what) + " has " +
+                     std::to_string(remaining()) + " trailing bytes");
+  }
 }
 
 std::string frame_encode(std::string_view kind, std::uint32_t version,
                          std::string_view payload) {
-  std::string out;
-  out.reserve(4 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t) +
-              kind.size() + payload.size());
-  append_u32(out, kMagic);
-  append_u32(out, kContainerVersion);
-  append_u32(out, static_cast<std::uint32_t>(kind.size()));
-  out.append(kind.data(), kind.size());
-  append_u32(out, version);
-  append_u64(out, static_cast<std::uint64_t>(payload.size()));
-  out.append(payload.data(), payload.size());
-  append_u64(out, frame_checksum(kind, version, payload));
-  return out;
+  ByteWriter out;
+  out.u32(kMagic)
+      .u32(kContainerVersion)
+      .u32(static_cast<std::uint32_t>(kind.size()))
+      .bytes(kind)
+      .u32(version)
+      .str(payload)
+      .u64(frame_checksum(kind, version, payload));
+  return out.take();
 }
 
 std::string frame_decode(std::string_view bytes, std::string_view kind,
                          std::uint32_t version) {
-  Cursor cursor(bytes);
-  if (cursor.read<std::uint32_t>("magic") != kMagic) {
+  ByteReader in(bytes);
+  if (in.u32("frame magic") != kMagic) {
     throw FrameError("not a durable frame (bad magic)");
   }
-  const auto container = cursor.read<std::uint32_t>("container version");
+  const std::uint32_t container = in.u32("frame container version");
   if (container != kContainerVersion) {
     throw FrameError("unsupported container version " +
                      std::to_string(container));
   }
-  const auto kind_len = cursor.read<std::uint32_t>("kind length");
+  const std::uint32_t kind_len = in.u32("frame kind length");
   if (kind_len > 256) {
     throw FrameError("implausible kind length " + std::to_string(kind_len));
   }
-  const std::string_view got_kind = cursor.read_bytes(kind_len, "kind");
+  const std::string_view got_kind = in.bytes(kind_len, "frame kind");
   if (got_kind != kind) {
     throw FrameError("frame kind mismatch: expected '" + std::string(kind) +
                      "', got '" + std::string(got_kind) + "'");
   }
-  const auto got_version = cursor.read<std::uint32_t>("schema version");
+  const std::uint32_t got_version = in.u32("frame schema version");
   if (got_version != version) {
     throw FrameError("frame schema version mismatch: expected " +
                      std::to_string(version) + ", got " +
                      std::to_string(got_version));
   }
-  const auto payload_len = cursor.read<std::uint64_t>("payload length");
-  if (payload_len > bytes.size() - cursor.pos()) {
-    throw FrameError("frame truncated: payload claims " +
-                     std::to_string(payload_len) + " bytes, " +
-                     std::to_string(bytes.size() - cursor.pos()) +
-                     " remain");
-  }
-  const std::string_view payload = cursor.read_bytes(
-      static_cast<std::size_t>(payload_len), "payload");
-  const auto checksum = cursor.read<std::uint64_t>("checksum");
-  if (checksum != frame_checksum(kind, version, payload)) {
+  const std::string_view payload = in.str("frame payload");
+  if (in.u64("frame checksum") != frame_checksum(kind, version, payload)) {
     throw FrameError("frame checksum mismatch (torn write or corruption)");
   }
+  in.expect_end("frame");
   return std::string(payload);
 }
 

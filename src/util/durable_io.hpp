@@ -1,8 +1,9 @@
-// Crash-safe file persistence: atomic replace + a checksummed frame.
+// Crash-safe file persistence: atomic replace, a checksummed frame, and
+// the one byte codec every persisted payload is written and read with.
 //
 // Everything the repo persists across process lifetimes (training
 // checkpoints, the on-disk split cache, experiment work units) goes
-// through this layer, which gives two guarantees:
+// through this layer, which gives three guarantees:
 //
 //  1. Atomic visibility. `atomic_write_file` writes to a temp file in the
 //     target directory, flushes it to stable storage (fsync), renames it
@@ -17,15 +18,51 @@
 //     bit rot, a fault-injected short_write/corrupt) is rejected with a
 //     typed error at `frame_decode` time, never silently consumed.
 //
+//  3. Hostile payloads are typed errors. Payloads are encoded with
+//     ByteWriter and decoded with ByteReader, which checks every read
+//     against the bytes left and every decoder's end, so a payload that
+//     passes the checksum but is malformed (a foreign writer, a bug, a
+//     crafted file) throws FrameError instead of reading out of bounds,
+//     allocating a claimed length, or loading with bytes left over.
+//
+// Fields are fixed width in host byte order; doubles are stored as their
+// bit pattern, so they round-trip bit-equal. `str` is a u64 length and
+// the bytes. The payload layouts, field by field:
+//
+//   frame        u32 magic "SMAF" | u32 container version 1 |
+//                u32 kind length | kind | u32 schema version |
+//                str payload | u64 FNV-1a(kind, schema version, payload)
+//   checkpoint   u64 compat digest | i64 epochs done | i64 queries seen |
+//   (kind sma-train-ckpt, v1)
+//                u64 rng state | u64 rng stream |
+//                u64 n | n f64 epoch losses | u64 n | n f64 validation ccrs |
+//                str params blob | str Adam blob
+//   params blob  u64 parameter count | per parameter: u64 n | n f32 values
+//   Adam blob    f64 learning rate | i64 step | u64 parameter count |
+//                per parameter: u64 n | n f32 first moment |
+//                n f32 second moment
+//   cache entry  u64 key | i64 final overflow | i64 fallback routes |
+//   (kind sma-design-cache, v1)
+//                str DEF text
+//   Table-3 unit u64 run digest | u64 slot | str design | i64 sink count |
+//   (kind sma-work-unit, v1)
+//                i64 source count | u64 flags (1 flow timed out,
+//                2 scaled down) | f64 flow ccr | f64 flow seconds |
+//                f64 dl ccr | f64 dl seconds | f64 hit rate
+//   Figure-5 unit u64 run digest | u64 slot | str setting | f64 avg ccr |
+//                f64 avg inference seconds
+//
 // Errors are typed so callers can distinguish "this file is damaged,
 // recompute it" (FrameError) from "the storage itself is failing"
 // (IoError); both derive from DurableIoError.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace sma::util {
 
@@ -50,19 +87,63 @@ class IoError : public DurableIoError {
   using DurableIoError::DurableIoError;
 };
 
-/// FNV-1a 64-bit over a byte range (the frame checksum; same function as
-/// util::ContentHash so digests stay consistent repo-wide).
-std::uint64_t fnv1a(const void* data, std::size_t size);
+/// Appends fixed-width fields to a byte string (see the layouts above).
+class ByteWriter {
+ public:
+  ByteWriter& u32(std::uint32_t v) { return bytes(&v, sizeof(v)); }
+  ByteWriter& u64(std::uint64_t v) { return bytes(&v, sizeof(v)); }
+  ByteWriter& i64(std::int64_t v) { return bytes(&v, sizeof(v)); }
+  /// The bit pattern of `v`.
+  ByteWriter& f64(double v) { return bytes(&v, sizeof(v)); }
+  /// Raw bytes, no length prefix.
+  ByteWriter& bytes(const void* data, std::size_t size);
+  ByteWriter& bytes(std::string_view b) { return bytes(b.data(), b.size()); }
+  /// u64 length, then the bytes.
+  ByteWriter& str(std::string_view s) { return u64(s.size()).bytes(s); }
 
-/// Wrap `payload` in a framed container:
-///   u32 magic "SMAF" | u32 container version | u32 kind length |
-///   kind bytes | u32 schema version | u64 payload length |
-///   payload bytes | u64 FNV-1a(kind, schema version, payload)
+  const std::string& data() const { return out_; }
+  /// Moves the bytes out; the writer is empty afterwards.
+  std::string take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
+
+/// Reads ByteWriter fields back from a view, checking each read against
+/// the bytes left. Every failure is a FrameError naming the field.
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
+
+  std::uint32_t u32(const char* what);
+  std::uint64_t u64(const char* what);
+  std::int64_t i64(const char* what);
+  double f64(const char* what);
+  /// The next `n` bytes, as a view into the input.
+  std::string_view bytes(std::uint64_t n, const char* what);
+  /// `count` elements of `width` bytes each; the count is checked
+  /// against the bytes left before it is multiplied.
+  std::string_view array(std::uint64_t count, std::size_t width,
+                         const char* what);
+  /// A u64 length, then that many bytes.
+  std::string_view str(const char* what) { return bytes(u64(what), what); }
+
+  std::size_t remaining() const { return bytes_.size() - pos_; }
+  /// Throws unless every byte of `what` was read.
+  void expect_end(const char* what) const;
+
+ private:
+  std::string_view bytes_;
+  std::size_t pos_ = 0;
+};
+
+/// Wrap `payload` in a framed container (layout above).
 std::string frame_encode(std::string_view kind, std::uint32_t version,
                          std::string_view payload);
 
 /// Validate a frame and return its payload. Throws FrameError naming the
-/// violated rule (magic, kind, version, truncation, checksum).
+/// violated rule (magic, kind, version, truncation, checksum, trailing
+/// bytes).
 std::string frame_decode(std::string_view bytes, std::string_view kind,
                          std::uint32_t version);
 
