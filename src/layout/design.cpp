@@ -31,8 +31,7 @@ Design run_flow(netlist::Netlist netlist, const FlowConfig& config,
     obs::TimedSpan span("flow", "global_place");
     run_global_placement(
         *design.placement,
-        place::kGlobalPlacementSeed ^ (config.seed * 0x9e3779b97f4a7c15ULL),
-        pool);
+        place::kGlobalPlacementSeed ^ (config.seed * 0x9e3779b97f4a7c15ULL));
     design.timings.global_place_seconds = span.stop();
   }
 

@@ -57,10 +57,10 @@ struct FlowConfig {
 };
 
 /// Run placement + routing on `netlist` (consumed) and return the layout.
-/// A non-null `pool` parallelizes inside placement (relaxation lanes,
-/// band sorts) and routing (wave-concurrent nets); the resulting layout
-/// is bit-identical at any thread count, so the pool is deliberately NOT
-/// part of `FlowConfig` or the layout-cache digest.
+/// Placement is serial; a non-null `pool` parallelizes routing
+/// (wave-concurrent nets). The resulting layout is bit-identical at any
+/// thread count, so the pool is deliberately NOT part of `FlowConfig` or
+/// the layout-cache digest.
 Design run_flow(netlist::Netlist netlist, const FlowConfig& config = {},
                 runtime::ThreadPool* pool = nullptr);
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "runtime/parallel.hpp"
 
 namespace sma::place {
 
@@ -44,22 +43,20 @@ struct RelaxScratch {
 /// toward the weighted centroid of the nets it belongs to (ports act as
 /// fixed anchors). This is the classic quadratic-placement fixed-point
 /// iteration (Jacobi flavor: all reads see the previous iteration's
-/// positions, so lanes may accumulate concurrently).
+/// positions).
 ///
 /// Lane l accumulates the contiguous net block [l*N/L, (l+1)*N/L) into its
 /// private arrays; the per-cell reduction then adds lane partials in lane
-/// order. The association of the floating-point sums is fixed by the lane
-/// count alone — never by the thread count — which is what makes the
-/// parallel run bit-identical to the serial one.
+/// order. That association of the floating-point sums is part of the
+/// layout's definition, so the lanes stay although they run in sequence.
 void relax(const netlist::Netlist& nl, const Placement& placement,
-           std::vector<Vec2>& pos, double pull, RelaxScratch& scratch,
-           runtime::ThreadPool* pool) {
+           std::vector<Vec2>& pos, double pull, RelaxScratch& scratch) {
   const std::size_t num_lanes = scratch.lanes.size();
   const std::size_t num_nets = static_cast<std::size_t>(nl.num_nets());
   const std::size_t num_cells = static_cast<std::size_t>(nl.num_cells());
 
   SMA_COUNT("place.relax_passes");
-  runtime::parallel_for(pool, 0, num_lanes, /*grain=*/1, [&](std::size_t l) {
+  for (std::size_t l = 0; l < num_lanes; ++l) {
     SMA_TRACE_SPAN_V("place", "relax_lane", l);
     RelaxScratch::Lane& lane = scratch.lanes[l];
     std::fill(lane.target.begin(), lane.target.end(), Vec2{});
@@ -100,35 +97,31 @@ void relax(const netlist::Netlist& nl, const Placement& placement,
       if (net.has_driver()) attract(net.driver);
       for (const PinRef& sink : net.sinks) attract(sink);
     }
-  });
+  }
 
-  // Fixed-order lane reduction + position update, one cell per slot.
-  runtime::parallel_for(
-      pool, 0, num_cells, runtime::default_grain(num_cells, pool),
-      [&](std::size_t c) {
-        double tx = 0.0;
-        double ty = 0.0;
-        double w = 0.0;
-        for (const RelaxScratch::Lane& lane : scratch.lanes) {
-          tx += lane.target[c].x;
-          ty += lane.target[c].y;
-          w += lane.weight[c];
-        }
-        if (w <= 0.0) return;
-        pos[c].x += pull * (tx / w - pos[c].x);
-        pos[c].y += pull * (ty / w - pos[c].y);
-      });
+  // Fixed-order lane reduction + position update.
+  for (std::size_t c = 0; c < num_cells; ++c) {
+    double tx = 0.0;
+    double ty = 0.0;
+    double w = 0.0;
+    for (const RelaxScratch::Lane& lane : scratch.lanes) {
+      tx += lane.target[c].x;
+      ty += lane.target[c].y;
+      w += lane.weight[c];
+    }
+    if (w <= 0.0) continue;
+    pos[c].x += pull * (tx / w - pos[c].x);
+    pos[c].y += pull * (ty / w - pos[c].y);
+  }
 }
 
 /// Order-preserving uniform spreading: cells are sorted into k x-bands of
 /// equal count, and within each band sorted by y and distributed evenly.
 /// Monotone in both axes, so the relaxed solution's neighbourhood
 /// structure survives while density becomes uniform — the whitespace the
-/// legalizer needs. Bands cover disjoint slices of `order` and the
-/// comparators are strict total orders (index tie-breaks), so the
-/// per-band sorts run concurrently with a unique, deterministic result.
-void spread_by_rank(const Placement& placement, std::vector<Vec2>& pos,
-                    runtime::ThreadPool* pool) {
+/// legalizer needs. The comparators are strict total orders (index
+/// tie-breaks), so every sort has a unique, deterministic result.
+void spread_by_rank(const Placement& placement, std::vector<Vec2>& pos) {
   const int num_cells = static_cast<int>(pos.size());
   if (num_cells == 0) return;
   const Floorplan& fp = placement.floorplan();
@@ -146,31 +139,27 @@ void spread_by_rank(const Placement& placement, std::vector<Vec2>& pos,
   });
 
   const int per_band = (num_cells + bands - 1) / bands;
-  runtime::parallel_for(
-      pool, 0, static_cast<std::size_t>(bands), /*grain=*/1,
-      [&](std::size_t band) {
-        const int begin = static_cast<int>(band) * per_band;
-        const int end = std::min(num_cells, begin + per_band);
-        if (begin >= end) return;
-        std::sort(order.begin() + begin, order.begin() + end,
-                  [&](int a, int b) {
-                    if (pos[a].y != pos[b].y) return pos[a].y < pos[b].y;
-                    if (pos[a].x != pos[b].x) return pos[a].x < pos[b].x;
-                    return a < b;
-                  });
-        const double x = (band + 0.5) / bands * die_w;
-        const int in_band = end - begin;
-        for (int i = begin; i < end; ++i) {
-          pos[order[i]].x = x;
-          pos[order[i]].y = (i - begin + 0.5) / in_band * die_h;
-        }
-      });
+  for (int band = 0; band < bands; ++band) {
+    const int begin = band * per_band;
+    const int end = std::min(num_cells, begin + per_band);
+    if (begin >= end) break;
+    std::sort(order.begin() + begin, order.begin() + end, [&](int a, int b) {
+      if (pos[a].y != pos[b].y) return pos[a].y < pos[b].y;
+      if (pos[a].x != pos[b].x) return pos[a].x < pos[b].x;
+      return a < b;
+    });
+    const double x = (band + 0.5) / bands * die_w;
+    const int in_band = end - begin;
+    for (int i = begin; i < end; ++i) {
+      pos[order[i]].x = x;
+      pos[order[i]].y = (i - begin + 0.5) / in_band * die_h;
+    }
+  }
 }
 
 }  // namespace
 
-void run_global_placement(Placement& placement, std::uint64_t seed,
-                          runtime::ThreadPool* pool) {
+void run_global_placement(Placement& placement, std::uint64_t seed) {
   const netlist::Netlist& nl = placement.netlist();
   const Floorplan& fp = placement.floorplan();
   if (nl.num_cells() == 0) return;
@@ -211,18 +200,18 @@ void run_global_placement(Placement& placement, std::uint64_t seed,
     const int iters =
         std::max(2, static_cast<int>(kRelaxIterations * (1.0 - 0.5 * t)));
     for (int iter = 0; iter < iters; ++iter) {
-      relax(nl, placement, pos, pull, scratch, pool);
+      relax(nl, placement, pos, pull, scratch);
       for (CellId c = 0; c < nl.num_cells(); ++c) {
         pos[c].x = std::clamp(pos[c].x, 0.0, die_w - 1.0);
         pos[c].y = std::clamp(pos[c].y, 0.0, die_h - 1.0);
       }
     }
-    spread_by_rank(placement, pos, pool);
+    spread_by_rank(placement, pos);
   }
 
   // Final gentle relaxation without re-collapsing.
   for (int iter = 0; iter < kRefineIterations; ++iter) {
-    relax(nl, placement, pos, kRefinePull, scratch, pool);
+    relax(nl, placement, pos, kRefinePull, scratch);
     for (CellId c = 0; c < nl.num_cells(); ++c) {
       pos[c].x = std::clamp(pos[c].x, 0.0, die_w - 1.0);
       pos[c].y = std::clamp(pos[c].y, 0.0, die_h - 1.0);

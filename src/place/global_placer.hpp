@@ -12,17 +12,15 @@
 #include <cstdint>
 
 #include "place/placement.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace sma::place {
 
 /// Accumulation lanes for the centroid relaxation: nets are split into
 /// this many contiguous blocks whose per-cell pulls accumulate into
-/// private arrays, reduced in fixed lane order (the gradient-lane
-/// pattern). Part of the algorithm — it decides how the floating-point
-/// sums associate and therefore shapes the layout — and independent of
-/// the thread count, so any pool size is bit-identical to serial.
+/// private arrays, reduced in fixed lane order. Part of the algorithm —
+/// it decides how the floating-point sums associate and therefore shapes
+/// the layout — so it stays although placement runs serially.
 inline constexpr int kRelaxLanes = 8;
 
 // The schedule. Like kRelaxLanes these are part of the algorithm: the
@@ -42,11 +40,9 @@ inline constexpr double kRefinePull = 0.2;
 inline constexpr std::uint64_t kGlobalPlacementSeed = 7;
 
 /// Runs global placement in-place; positions are continuous (not yet
-/// legalized) but inside the die. A non-null `pool` parallelizes the
-/// relaxation lanes and the spreading's per-band sorts; the result is
-/// bit-identical at any thread count.
+/// legalized) but inside the die. Serial: on the profiled designs a pool
+/// cost more in hand-offs than the relaxation lanes and band sorts save.
 void run_global_placement(Placement& placement,
-                          std::uint64_t seed = kGlobalPlacementSeed,
-                          runtime::ThreadPool* pool = nullptr);
+                          std::uint64_t seed = kGlobalPlacementSeed);
 
 }  // namespace sma::place

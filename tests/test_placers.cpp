@@ -4,7 +4,6 @@
 #include "place/detailed_placer.hpp"
 #include "place/global_placer.hpp"
 #include "place/legalizer.hpp"
-#include "runtime/thread_pool.hpp"
 #include "test_support.hpp"
 
 namespace sma::place {
@@ -61,40 +60,6 @@ TEST(GlobalPlacer, DeterministicInSeed) {
   run_global_placement(p2);
   for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
     EXPECT_EQ(p1.cell_origin(c), p2.cell_origin(c));
-  }
-}
-
-TEST(GlobalPlacer, ParallelBitIdenticalToSerial) {
-  // Lane accumulation and band sorts are scheduled by the config, never
-  // the thread count: pools of any size must land every cell on exactly
-  // the serial coordinates. Two design profiles, threads {1, 2, 4}.
-  for (std::uint64_t seed : {21ull, 97ull}) {
-    netlist::Netlist nl = medium_netlist(seed);
-    Floorplan fp = make_floorplan(nl);
-    Placement serial(&nl, fp);
-    run_global_placement(serial);
-    for (int threads : {2, 4}) {
-      runtime::ThreadPool pool(threads - 1);
-      Placement parallel(&nl, fp);
-      run_global_placement(parallel, kGlobalPlacementSeed, &pool);
-      for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
-        ASSERT_EQ(serial.cell_origin(c), parallel.cell_origin(c))
-            << "seed " << seed << ", threads " << threads << ", cell " << c;
-      }
-    }
-  }
-}
-
-TEST(GlobalPlacer, ParallelStableAcrossRuns) {
-  netlist::Netlist nl = medium_netlist(33);
-  Floorplan fp = make_floorplan(nl);
-  runtime::ThreadPool pool(3);
-  Placement first(&nl, fp);
-  Placement second(&nl, fp);
-  run_global_placement(first, kGlobalPlacementSeed, &pool);
-  run_global_placement(second, kGlobalPlacementSeed, &pool);
-  for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
-    ASSERT_EQ(first.cell_origin(c), second.cell_origin(c));
   }
 }
 
