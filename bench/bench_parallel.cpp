@@ -11,7 +11,9 @@
 // measured (prepended if the sweep omits it), and the JSON carries a
 // top-level "summary" with the baseline wall-times and best speedup —
 // previously a 1-core host skipped every requested count > 1 and the
-// bench trajectory stayed empty despite the JSON existing.
+// bench trajectory stayed empty despite the JSON existing. "rows" holds
+// the baseline's DL columns at round-trip precision, so two processes
+// (say, a cold and a warm SMA_CACHE_DIR) can be compared row for row.
 //
 // Flags:
 //   --threads=1,2,4    thread counts to sweep (1 is always the baseline
@@ -21,6 +23,7 @@
 //   --paper            full-fidelity profile (very slow; default --fast)
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -57,6 +60,15 @@ bool dl_rows_identical(const Table3Result& a, const Table3Result& b) {
 }
 
 using sma::benchutil::json_escape;
+
+/// A double at round-trip precision; null when not finite (JSON has no
+/// NaN).
+std::string exact_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  std::ostringstream os;
+  os << std::setprecision(17) << v;
+  return os.str();
+}
 
 }  // namespace
 
@@ -199,6 +211,17 @@ int main(int argc, char** argv) {
          << ", \"seconds\": " << runs[i].seconds
          << ", \"train_seconds\": " << runs[i].train_seconds
          << ", \"speedup\": " << baseline_seconds / runs[i].seconds << "}";
+  }
+  // The baseline's DL columns, exact, so a later process (e.g. one that
+  // reads the first's SMA_CACHE_DIR entries) can be compared with it.
+  json << "], \"rows\": [";
+  for (std::size_t i = 0; i < baseline.rows.size(); ++i) {
+    const sma::eval::Table3Row& row = baseline.rows[i];
+    json << (i ? ", " : "") << "{\"design\": \"" << json_escape(row.design)
+         << "\", \"sink_fragments\": " << row.num_sink_fragments
+         << ", \"source_fragments\": " << row.num_source_fragments
+         << ", \"dl_ccr\": " << exact_number(row.dl_ccr)
+         << ", \"hit_rate\": " << exact_number(row.hit_rate) << "}";
   }
   // Top-level summary: the datapoint every run contributes, even when the
   // host can only measure the serial baseline.

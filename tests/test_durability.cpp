@@ -18,6 +18,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,11 +29,15 @@
 #include "eval/experiment.hpp"
 #include "eval/split_cache.hpp"
 #include "layout/def_io.hpp"
+#include "nn/optimizer.hpp"
 #include "netlist/profiles.hpp"
+#include "obs/metrics.hpp"
 #include "test_support.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault.hpp"
 #include "util/hash.hpp"
+#include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace sma {
 namespace {
@@ -593,6 +598,50 @@ TEST_F(Durability, WorkUnitPayloadLayout) {
   }
 }
 
+// A unit whose payload gained one byte, re-framed with a valid checksum,
+// is malformed: the rerun warns, recomputes that unit alone, and still
+// produces the first run's rows.
+TEST_F(Durability, WorkUnitWithTrailingByteIsRecomputed) {
+  const std::string dir = test_dir();
+  const std::vector<netlist::DesignProfile> victims = tiny_victims();
+  const eval::ExperimentProfile profile = tiny_work_profile(dir);
+  const eval::Table3Result first = eval::run_table3(3, profile, victims, 2019);
+
+  const std::vector<std::string> files = work_unit_files(dir);
+  ASSERT_EQ(files.size(), victims.size());
+  const std::string payload =
+      util::read_frame_file(files[0], "sma-work-unit", 1);
+  util::write_frame_file(files[0], "sma-work-unit", 1, payload + '\0');
+
+  const obs::Counter& loaded =
+      obs::Registry::global().counter("work.units_loaded");
+  const std::uint64_t loaded_before = loaded.value();
+  ::testing::internal::CaptureStderr();
+  const eval::Table3Result second =
+      eval::run_table3(3, profile, victims, 2019);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+
+  EXPECT_EQ(loaded.value() - loaded_before, victims.size() - 1)
+      << "the extended unit loaded as if it were intact";
+  EXPECT_NE(log.find("recomputing work unit 0"), std::string::npos) << log;
+  ASSERT_EQ(second.rows.size(), first.rows.size());
+  for (std::size_t i = 0; i < first.rows.size(); ++i) {
+    const eval::Table3Row& a = first.rows[i];
+    const eval::Table3Row& b = second.rows[i];
+    EXPECT_EQ(b.design, a.design);
+    EXPECT_EQ(b.num_sink_fragments, a.num_sink_fragments);
+    EXPECT_EQ(b.num_source_fragments, a.num_source_fragments);
+    EXPECT_EQ(b.flow_timed_out, a.flow_timed_out);
+    EXPECT_EQ(b.scaled_down, a.scaled_down);
+    EXPECT_EQ(bits_of(b.flow_ccr), bits_of(a.flow_ccr)) << a.design;
+    EXPECT_EQ(bits_of(b.dl_ccr), bits_of(a.dl_ccr)) << a.design;
+    EXPECT_EQ(bits_of(b.hit_rate), bits_of(a.hit_rate)) << a.design;
+  }
+  // The intact unit came from its file: its wall-clock field is bit-equal.
+  EXPECT_EQ(bits_of(second.rows[1].dl_seconds),
+            bits_of(first.rows[1].dl_seconds));
+}
+
 // ---------------------------------------------------------------------
 // Split-cache disk tier
 // ---------------------------------------------------------------------
@@ -802,6 +851,207 @@ TEST_F(DurabilityTest, Figure5RerunLoadsWorkUnitsBitIdenticallyAndSkips) {
     EXPECT_EQ(third[i].avg_ccr, first[i].avg_ccr)
         << "recomputed row diverged for " << first[i].setting;
   }
+}
+
+// ---------------------------------------------------------------------
+// Seeded payload fuzzing
+// ---------------------------------------------------------------------
+
+/// Seeded hostile variants of a valid payload. `length_fields` are the
+/// offsets of its u64 length and count fields (the layouts in
+/// util/durable_io.hpp); each gets a set of huge values.
+struct Mutations {
+  std::vector<std::string> malformed;  ///< truncations and extensions
+  std::vector<std::string> other;      ///< bit flips and huge lengths
+};
+
+Mutations mutate(const std::string& valid,
+                 const std::vector<std::size_t>& length_fields,
+                 util::Pcg32& rng) {
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.next_below(static_cast<std::uint32_t>(n)));
+  };
+  Mutations m;
+  for (int i = 0; i < 24; ++i) {
+    m.malformed.push_back(valid.substr(0, below(valid.size())));
+    std::string longer = valid;
+    longer.append(1 + below(16), static_cast<char>(rng.next_u32()));
+    m.malformed.push_back(std::move(longer));
+  }
+  for (int i = 0; i < 64; ++i) {
+    std::string flipped = valid;
+    flipped[below(valid.size())] ^= static_cast<char>(1u << below(8));
+    m.other.push_back(std::move(flipped));
+  }
+  std::vector<std::size_t> offsets = length_fields;
+  for (int i = 0; i < 8; ++i) offsets.push_back(below(valid.size() - 7));
+  for (const std::size_t at : offsets) {
+    const std::uint64_t huge_values[] = {
+        ~std::uint64_t{0}, std::uint64_t{1} << 63,
+        ~std::uint64_t{0} / 4 + 1, std::uint64_t{1} << 32,
+        valid.size() + 1};
+    for (const std::uint64_t huge : huge_values) {
+      std::string lengthened = valid;
+      std::memcpy(lengthened.data() + at, &huge, sizeof(huge));
+      m.other.push_back(std::move(lengthened));
+    }
+  }
+  return m;
+}
+
+/// Runs `decode` on one mutation. It must return, or throw a
+/// std::runtime_error subtype: never bad_alloc, a logic_error, or
+/// anything else. Returns whether it returned.
+template <typename Decode>
+bool decodes(const std::string& bytes, const Decode& decode) {
+  try {
+    decode(bytes);
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped decode failure: " << e.what();
+    return false;
+  }
+}
+
+// Every payload decoder, fed seeded mutations of a valid payload, either
+// decodes or throws a typed error. Truncated and extended payloads never
+// decode, and a failed decode leaves the weights and the optimizer as
+// they were. Checkpoints and cache entries are re-framed with a valid
+// checksum, so each mutation reaches the payload decoder. Runs under
+// ASan+UBSan in CI.
+TEST_F(Durability, SeededPayloadFuzz) {
+  util::Pcg32 rng(0x5eedf022);
+  const std::string dir = test_dir();
+  nn::NetConfig config;
+  config.hidden = 8;
+  config.vector_res_blocks = 1;
+  config.merged_res_blocks = 1;
+  config.use_images = false;
+  nn::AttackNet net(config);
+  std::vector<nn::Param> params = net.params();
+  nn::Adam adam(params);
+
+  // Params blob: u64 count | per parameter: u64 n | n f32.
+  const std::string params_blob = attack::encode_params(params);
+  std::vector<std::size_t> params_lengths = {0};
+  for (std::size_t i = 0, at = 8; i < params.size(); ++i) {
+    params_lengths.push_back(at);
+    at += 8 + params[i].value->size() * sizeof(float);
+  }
+  const Mutations params_m = mutate(params_blob, params_lengths, rng);
+  const auto decode_params = [&](const std::string& b) {
+    attack::decode_params(b, params);
+  };
+  for (const std::string& b : params_m.malformed) {
+    EXPECT_FALSE(decodes(b, decode_params)) << "size " << b.size();
+    EXPECT_EQ(attack::encode_params(params), params_blob)
+        << "a failed decode wrote weights";
+  }
+  for (const std::string& b : params_m.other) {
+    if (!decodes(b, decode_params)) {
+      EXPECT_EQ(attack::encode_params(params), params_blob);
+    }
+    attack::decode_params(params_blob, params);
+  }
+
+  // Adam blob: f64 lr | i64 step | u64 count | per parameter: u64 n |
+  // 2n f32.
+  util::ByteWriter adam_out;
+  adam.serialize(adam_out);
+  const std::string adam_blob = adam_out.take();
+  std::vector<std::size_t> adam_lengths = {16};
+  for (std::size_t i = 0, at = 24; i < params.size(); ++i) {
+    adam_lengths.push_back(at);
+    at += 8 + 2 * params[i].value->size() * sizeof(float);
+  }
+  const auto adam_state = [&adam] {
+    util::ByteWriter out;
+    adam.serialize(out);
+    return out.take();
+  };
+  const auto decode_adam = [&](const std::string& b) {
+    util::ByteReader in(b);
+    adam.deserialize(in);
+  };
+  const Mutations adam_m = mutate(adam_blob, adam_lengths, rng);
+  for (const std::string& b : adam_m.malformed) {
+    EXPECT_FALSE(decodes(b, decode_adam)) << "size " << b.size();
+    EXPECT_EQ(adam_state(), adam_blob) << "a failed decode wrote state";
+  }
+  for (const std::string& b : adam_m.other) {
+    if (!decodes(b, decode_adam)) {
+      EXPECT_EQ(adam_state(), adam_blob);
+    }
+    decode_adam(adam_blob);
+  }
+
+  // Checkpoint payload, through the file path.
+  attack::TrainCheckpoint ckpt;
+  ckpt.compat_digest = 0x0123456789abcdefULL;
+  ckpt.epochs_done = 3;
+  ckpt.queries_seen = 180;
+  ckpt.epoch_loss = {0.9, 0.7, 0.6};
+  ckpt.validation_ccr = {0.5, 0.55};
+  ckpt.rng = util::Pcg32(9).save_state();
+  ckpt.model_blob = params_blob;
+  ckpt.adam_blob = adam_blob;
+  const std::string ckpt_payload = attack::encode_checkpoint(ckpt);
+  const std::size_t model_len = 48 + 8 * 3 + 8 + 8 * 2;
+  const std::vector<std::size_t> ckpt_lengths = {
+      40, 48 + 8 * 3, model_len, model_len + 8 + params_blob.size()};
+  const std::string ckpt_path = dir + "/ckpt.sma";
+  const auto load_ckpt = [&](const std::string& b) {
+    util::write_frame_file(ckpt_path, "sma-train-ckpt", 1, b);
+    attack::TrainCheckpoint out;
+    if (!attack::try_load_checkpoint(ckpt_path, ckpt.compat_digest, &out)) {
+      throw util::FrameError("checkpoint discarded");
+    }
+  };
+  ASSERT_TRUE(decodes(ckpt_payload, load_ckpt));
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::kError);  // one warning per discard
+  const Mutations ckpt_m = mutate(ckpt_payload, ckpt_lengths, rng);
+  for (const std::string& b : ckpt_m.malformed) {
+    EXPECT_FALSE(decodes(b, load_ckpt)) << "size " << b.size();
+  }
+  for (const std::string& b : ckpt_m.other) decodes(b, load_ckpt);
+  util::set_log_level(level);
+
+  // Cache entry: u64 key | i64 overflow | i64 fallbacks | str DEF. Each
+  // mutation is a fresh cache over the directory; a miss rebuilds from
+  // the prebuilt design, so only the decode costs anything.
+  const auto prebuilt = std::make_shared<const layout::Design>(
+      test::small_routed_design(60, 3));
+  constexpr std::uint64_t kKey = 0xf022ca5e00000001ULL;
+  const std::string entry_path = cache_entry_path(dir, kKey);
+  {
+    eval::SplitCache cache(1);
+    cache.set_disk_dir(dir, &test::library());
+    cache.get_or_build(kKey, [&] { return prebuilt; });
+  }
+  const std::string entry = util::read_frame_file(entry_path,
+                                                  "sma-design-cache", 1);
+  const auto load_entry = [&](const std::string& b) {
+    util::write_frame_file(entry_path, "sma-design-cache", 1, b);
+    eval::SplitCache cache(1);
+    cache.set_disk_dir(dir, &test::library());
+    cache.get_or_build(kKey, [&] { return prebuilt; });
+    const eval::SplitCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.disk_hits + stats.disk_corrupt, 1u);
+    if (stats.disk_corrupt != 0) throw util::FrameError("entry discarded");
+  };
+  ::testing::internal::CaptureStderr();
+  const Mutations entry_m = mutate(entry, {24}, rng);
+  for (const std::string& b : entry_m.malformed) {
+    EXPECT_FALSE(decodes(b, load_entry)) << "size " << b.size();
+  }
+  for (const std::string& b : entry_m.other) decodes(b, load_entry);
+  // The cache turns every decode failure into a warning naming it.
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(log.find("bad_alloc"), std::string::npos) << log;
 }
 
 // ---------------------------------------------------------------------
