@@ -45,17 +45,21 @@ struct TrainCheckpoint {
 };
 
 /// Serialize parameter *values* (in `params` order) into a blob:
-/// u64 count, then per parameter u64 float-count + raw floats.
+/// u64 count, then per parameter u64 float-count + raw floats (the
+/// "params blob" layout in util/durable_io.hpp).
 std::string encode_params(const std::vector<nn::Param>& params);
 
 /// Restore a blob produced by `encode_params` into `params` in place
 /// (shared-weight replicas referencing these tensors stay valid). Throws
-/// util::FrameError on count/size mismatch, leaving values untouched.
+/// util::FrameError on count/size mismatch, truncation or trailing
+/// bytes, leaving values untouched.
 void decode_params(const std::string& blob, std::vector<nn::Param>& params);
 
-/// Flat binary payload encoding (framed and checksummed by save/load).
+/// Flat binary payload encoding (framed and checksummed by save/load;
+/// the "checkpoint" layout in util/durable_io.hpp).
 std::string encode_checkpoint(const TrainCheckpoint& ckpt);
-/// Throws util::FrameError on truncation or malformed fields.
+/// Throws util::FrameError on truncation, malformed fields or trailing
+/// bytes.
 TrainCheckpoint decode_checkpoint(const std::string& payload);
 
 /// Write `ckpt` to `path` via durable_io's atomic replace. Throws

@@ -157,9 +157,13 @@ class DlAttack {
   /// for the replica-reuse contract.
   long inference_clones() const { return replicas_->clones_created(); }
 
-  /// Aggregate activation-arena stats over the pinned inference replicas
-  /// (each replica owns one arena for its lifetime; repeated attack()
-  /// calls over already-seen query shapes add zero allocations).
+  /// Aggregate activation-arena stats over the pinned inference replicas.
+  /// Each replica owns one arena for its lifetime, and arenas warm per
+  /// pool width: repeating attack() at a width already run, over
+  /// already-seen query shapes, adds zero allocations. A call at a new
+  /// width can still grow an arena: a serial call after only pooled ones
+  /// grows replica 0, which now embeds every pin and scores every query
+  /// where the pooled call gave it one slice.
   nn::ArenaStats inference_arena_stats() const {
     return replicas_->arena_stats();
   }

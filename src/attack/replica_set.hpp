@@ -117,9 +117,12 @@ class ReplicaSet {
   LeaseStats lease_stats() const SMA_EXCLUDES(mutex_);
 
   /// Aggregate activation-arena stats over every pinned replica. Each
-  /// replica owns one arena for its lifetime, so repeated attack() calls
-  /// over already-seen query shapes leave `allocs` unchanged — the
-  /// serving-side half of the alloc-free steady-state contract. Arenas
+  /// replica owns one arena for its lifetime, sized by the largest share
+  /// of work it has been leased for, so warmth is per pool width:
+  /// repeated attack() calls at an already-run width over already-seen
+  /// query shapes leave `allocs` unchanged — the serving-side half of the
+  /// alloc-free steady-state contract — while a first call at another
+  /// width may grow a replica (serial after pooled grows replica 0). Arenas
   /// are single-owner: call this between attack() calls, not while a
   /// lease is live (a working replica mutates its arena unsynchronized).
   nn::ArenaStats arena_stats() const SMA_EXCLUDES(mutex_);

@@ -67,30 +67,6 @@ std::string_view ByteReader::array(std::uint64_t count, std::size_t width,
   return bytes(count * width, what);
 }
 
-namespace {
-
-template <typename T>
-T read_fixed(ByteReader& in, const char* what) {
-  T v;
-  std::memcpy(&v, in.bytes(sizeof(T), what).data(), sizeof(T));
-  return v;
-}
-
-}  // namespace
-
-std::uint32_t ByteReader::u32(const char* what) {
-  return read_fixed<std::uint32_t>(*this, what);
-}
-std::uint64_t ByteReader::u64(const char* what) {
-  return read_fixed<std::uint64_t>(*this, what);
-}
-std::int64_t ByteReader::i64(const char* what) {
-  return read_fixed<std::int64_t>(*this, what);
-}
-double ByteReader::f64(const char* what) {
-  return read_fixed<double>(*this, what);
-}
-
 void ByteReader::expect_end(const char* what) const {
   if (remaining() != 0) {
     throw FrameError(std::string(what) + " has " +

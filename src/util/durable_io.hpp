@@ -59,6 +59,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -72,9 +73,10 @@ class DurableIoError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The bytes are not a valid frame: bad magic, wrong kind, unsupported
-/// version, truncation, or checksum mismatch. The file is damaged or
-/// foreign — discard or recompute it.
+/// The bytes are not a valid frame or payload: bad magic, wrong kind,
+/// unsupported version, truncation, checksum mismatch, a malformed field
+/// or trailing bytes. The file is damaged or foreign — discard or
+/// recompute it.
 class FrameError : public DurableIoError {
  public:
   using DurableIoError::DurableIoError;
@@ -101,7 +103,6 @@ class ByteWriter {
   /// u64 length, then the bytes.
   ByteWriter& str(std::string_view s) { return u64(s.size()).bytes(s); }
 
-  const std::string& data() const { return out_; }
   /// Moves the bytes out; the writer is empty afterwards.
   std::string take() { return std::move(out_); }
 
@@ -115,10 +116,10 @@ class ByteReader {
  public:
   explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
 
-  std::uint32_t u32(const char* what);
-  std::uint64_t u64(const char* what);
-  std::int64_t i64(const char* what);
-  double f64(const char* what);
+  std::uint32_t u32(const char* what) { return fixed<std::uint32_t>(what); }
+  std::uint64_t u64(const char* what) { return fixed<std::uint64_t>(what); }
+  std::int64_t i64(const char* what) { return fixed<std::int64_t>(what); }
+  double f64(const char* what) { return fixed<double>(what); }
   /// The next `n` bytes, as a view into the input.
   std::string_view bytes(std::uint64_t n, const char* what);
   /// `count` elements of `width` bytes each; the count is checked
@@ -133,6 +134,13 @@ class ByteReader {
   void expect_end(const char* what) const;
 
  private:
+  template <typename T>
+  T fixed(const char* what) {
+    T v;
+    std::memcpy(&v, bytes(sizeof(T), what).data(), sizeof(T));
+    return v;
+  }
+
   std::string_view bytes_;
   std::size_t pos_ = 0;
 };

@@ -1,7 +1,9 @@
-// Content hashing for cache keys.
+// Content hashing: cache keys, digests and the durable frame checksum.
 //
-// A small FNV-1a 64-bit accumulator: feed it the fields that define an
-// artifact's inputs and use the digest as a content address. Doubles are
+// The repo's one FNV-1a 64-bit accumulator: feed it the fields that
+// define an artifact's inputs and use the digest as a content address.
+// `add_bytes` hashes raw bytes; `add(string_view)` prefixes the length,
+// so use `add_bytes` where bytes must hash exactly as written. Doubles are
 // hashed by bit pattern, so two configs hash equal iff every field is
 // bit-equal — exactly the granularity at which the deterministic
 // generators reproduce identical outputs.
